@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: tier1 fmt-check vet build test race obs-smoke robust-smoke serve-smoke snapfork-smoke fabric-smoke trace-smoke predictor-smoke bench bench-smoke bench-compare bench-go
+.PHONY: tier1 fmt-check vet build test race obs-smoke robust-smoke serve-smoke snapfork-smoke fabric-smoke trace-smoke predictor-smoke bench-module bench bench-smoke bench-compare bench-go
 
 # tier1 is the gate every change must pass: formatting, vet, a full
 # build, the test suite under the race detector, the observability
 # smoke, the fault-injection smoke, the serving-layer smoke, and a
 # benchmark smoke run proving the throughput harness still executes
-# every generation, and the snapshot/fork smoke pinning warm-state
-# bit-identity.
-tier1: fmt-check vet build race obs-smoke robust-smoke serve-smoke snapfork-smoke fabric-smoke trace-smoke predictor-smoke bench-smoke
+# every generation, the snapshot/fork smoke pinning warm-state
+# bit-identity, and a vet+test of the separate benchmark module.
+tier1: fmt-check vet build race obs-smoke robust-smoke serve-smoke snapfork-smoke fabric-smoke trace-smoke predictor-smoke bench-module bench-smoke
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -83,6 +83,15 @@ trace-smoke:
 predictor-smoke:
 	$(GO) test -race -run 'TestPredictor|TestTAGE|TestITTAGE|TestFrontendM7|TestHypothetical|TestM7' \
 		./internal/branch/ ./internal/experiments/ ./internal/serve/
+
+# bench-module vets and tests the exyperf benchmark module. It is a
+# separate Go module (replace exysim => ../), so the root build never
+# compiles it and an API change in core or robust could break the
+# benchmark unseen.
+BENCH_MODULE_ENV = GOFLAGS=-mod=readonly GOWORK=off GOTOOLCHAIN=local
+bench-module:
+	$(BENCH_MODULE_ENV) $(GO) -C exyperf vet ./... && \
+	$(BENCH_MODULE_ENV) $(GO) -C exyperf test ./...
 
 # bench measures per-generation simulator throughput (min-of-5 batches)
 # plus the population-scale RunPopulation sweep, and rewrites the

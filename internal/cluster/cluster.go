@@ -50,14 +50,13 @@ func (c *Cluster) Run(slices []*trace.Slice) []core.Result {
 	n := len(c.sims)
 	type lane struct {
 		sim  *core.Simulator
-		sl   *trace.Slice
+		pd   *trace.PreDecoded
 		seen int
 		done bool
 	}
 	lanes := make([]*lane, 0, n)
 	for i := 0; i < n && i < len(slices); i++ {
-		slices[i].Reset()
-		lanes = append(lanes, &lane{sim: c.sims[i], sl: slices[i]})
+		lanes = append(lanes, &lane{sim: c.sims[i], pd: slices[i].PreDecode()})
 	}
 	live := len(lanes)
 	for live > 0 {
@@ -72,21 +71,17 @@ func (c *Cluster) Run(slices []*trace.Slice) []core.Result {
 				pick = l
 			}
 		}
-		in, err := pick.sl.Next()
-		if err != nil {
+		if pick.seen == len(pick.pd.Slice.Insts) {
 			pick.done = true
 			live--
 			continue
 		}
-		pick.sim.Core().Step(&in)
+		pick.sim.Replay(pick.pd, pick.seen, pick.seen+1)
 		pick.seen++
-		if pick.seen == pick.sl.Warmup {
-			pick.sim.Core().ResetStats()
-		}
 	}
 	out := make([]core.Result, len(lanes))
 	for i, l := range lanes {
-		out[i] = l.sim.Snapshot(l.sl)
+		out[i] = l.sim.Snapshot(l.pd.Slice)
 	}
 	return out
 }

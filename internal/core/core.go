@@ -155,14 +155,19 @@ func (s *Simulator) Reset() {
 // stateCodec deep-copies simulator state for warm forking. The walk is
 // rooted at the pipeline core, whose reachable graph — front end, memory
 // system, μop cache, power meter — is exactly the mutable state the
-// Reset() protocol inventories. Two things are skip-listed as installed
-// wiring rather than state, mirroring what Reset leaves in place: the
-// cycle tracer (observability) and the branch-target cipher (§V
-// security hardening; stateless — its context is POD and walked
-// normally).
+// Reset() protocol inventories. Installed wiring rather than state is
+// skip-listed, mirroring what Reset leaves in place: the cycle tracer
+// (observability), the branch-target cipher (§V security hardening;
+// stateless — its context is POD and walked normally), and the
+// predictor spec's geometry pointers, which every simulator built from
+// one GenConfig shares, so restoring through them would write memory
+// concurrent simulators read.
 var stateCodec = snapshot.NewCodec(
 	reflect.TypeOf((*obs.Tracer)(nil)),
 	reflect.TypeOf((*branch.TargetCipher)(nil)).Elem(),
+	reflect.TypeOf((*branch.SHPConfig)(nil)),
+	reflect.TypeOf((*branch.TAGEConfig)(nil)),
+	reflect.TypeOf((*branch.ITTAGEConfig)(nil)),
 )
 
 // CaptureState deep-snapshots the simulator's mutable state — typically
@@ -229,27 +234,34 @@ func (s *Simulator) Config() GenConfig { return s.cfg }
 
 // Run replays a slice: the warmup prefix trains all structures, stats
 // reset, and the detailed region produces the result (§II's
-// SimPoint-style methodology).
+// SimPoint-style methodology). It only reads sl, so concurrent runs may
+// share one slice.
 func (s *Simulator) Run(sl *trace.Slice) Result {
-	sl.Reset()
-	n := 0
-	for {
-		in, err := sl.Next()
-		if err != nil {
-			break
-		}
-		s.core.Step(&in)
-		n++
-		if n == sl.Warmup {
-			s.core.ResetStats()
-		}
-	}
+	s.Replay(sl.PreDecode(), 0, len(sl.Insts))
 	return s.Snapshot(sl)
 }
 
+// Replay steps the pre-decoded instructions [from, to) through the
+// core: the one step loop every run path is built on. Stepping
+// instruction Warmup-1 applies the warmup boundary's stats reset, so the
+// reset happens exactly when 1 <= Warmup <= len and a replay split into
+// chunks behaves like one pass. Chunks must follow stream order from the
+// position the core is at (pre-decoded fetch-line bits encode each
+// instruction's predecessor); a warm-forked run starts at Warmup on a
+// restored simulator. Replay reads pd without writing it.
+func (s *Simulator) Replay(pd *trace.PreDecoded, from, to int) {
+	insts, meta, warm := pd.Slice.Insts, pd.Meta, pd.Slice.Warmup
+	for i := from; i < to; i++ {
+		s.core.StepDecoded(&insts[i], meta[i])
+		if i+1 == warm {
+			s.core.ResetStats()
+		}
+	}
+}
+
 // Snapshot assembles a Result from the simulator's current accumulated
-// state — used by Run and by callers that step the core manually (the
-// cluster scheduler, timelines).
+// state — used by Run and by callers that Replay in chunks (the cluster
+// scheduler, the guarded runs of package robust).
 func (s *Simulator) Snapshot(sl *trace.Slice) Result {
 	pr := s.core.Result()
 	fr := s.core.Frontend().Stats()
@@ -285,35 +297,34 @@ type IntervalResult struct {
 
 // RunTimeline replays the slice and reports IPC/MPKI per fixed interval
 // — the phase-level view SimPoint clusters (§II). The whole slice is
-// measured (no warmup reset), so interval 0 includes cold structures.
+// measured (no warmup reset), so interval 0 includes cold structures; a
+// trailing partial interval is stepped but not reported.
 func (s *Simulator) RunTimeline(sl *trace.Slice, intervalInsts int) []IntervalResult {
 	if intervalInsts <= 0 {
 		intervalInsts = 10_000
 	}
-	sl.Reset()
+	cur := sl.Cursor()
+	cur.Warmup = 0
+	pd := cur.PreDecode()
 	var out []IntervalResult
-	n := 0
 	lastCycles, lastMis := uint64(0), uint64(0)
-	for {
-		in, err := sl.Next()
-		if err != nil {
+	for from := 0; from < len(cur.Insts); from += intervalInsts {
+		to := min(from+intervalInsts, len(cur.Insts))
+		s.Replay(pd, from, to)
+		if to-from < intervalInsts {
 			break
 		}
-		s.core.Step(&in)
-		n++
-		if n%intervalInsts == 0 {
-			pr := s.core.Result()
-			fr := s.core.Frontend().Stats()
-			dCyc := pr.Cycles - lastCycles
-			dMis := fr.Mispredicts - lastMis
-			ir := IntervalResult{Interval: len(out)}
-			if dCyc > 0 {
-				ir.IPC = float64(intervalInsts) / float64(dCyc)
-			}
-			ir.MPKI = float64(dMis) / float64(intervalInsts) * 1000
-			out = append(out, ir)
-			lastCycles, lastMis = pr.Cycles, fr.Mispredicts
+		pr := s.core.Result()
+		fr := s.core.Frontend().Stats()
+		dCyc := pr.Cycles - lastCycles
+		dMis := fr.Mispredicts - lastMis
+		ir := IntervalResult{Interval: len(out)}
+		if dCyc > 0 {
+			ir.IPC = float64(intervalInsts) / float64(dCyc)
 		}
+		ir.MPKI = float64(dMis) / float64(intervalInsts) * 1000
+		out = append(out, ir)
+		lastCycles, lastMis = pr.Cycles, fr.Mispredicts
 	}
 	return out
 }

@@ -150,9 +150,9 @@ func WithSpanTracer(st *obs.SpanTracer) Option {
 // slice) warmup boundary. With a populated cache a sweep restores each
 // pair's warm image and replays only the measured region — skipping the
 // warmup stepping entirely — with results bit-identical to cold
-// re-warming (the snapshot/fork bit-identity tests pin this). Slices
-// whose pair has a step hook installed, or no warmup prefix, run cold as
-// before. Retries always run cold on a fresh simulator and drop the
+// re-warming (the snapshot/fork bit-identity tests pin this). Pairs
+// with a step hook installed run cold, because hooks must see the
+// warmup too; slices with no warmup prefix have nothing to fork. Retries always run cold on a fresh simulator and drop the
 // pair's snapshot first, so a damaged image can never quarantine a pair
 // permanently.
 func WithWarmSnapshots(w *WarmCache) Option {
@@ -216,7 +216,7 @@ func WithGenerations(gens []core.GenConfig) Option {
 // unaffected. Jobs are enqueued generation-major, which keeps each
 // worker's set hot on one generation at a time.
 //
-// Every slice runs guarded (robust.RunGuarded): a panic, deadline trip,
+// Every slice runs guarded (robust.RunGuardedDecoded): a panic, deadline trip,
 // or invariant violation quarantines that slice alone — the possibly
 // corrupted simulator is discarded instead of recycled, the slice is
 // retried on fresh simulators up to WithRetries times, and the sweep

@@ -175,8 +175,7 @@ func (in *Inst) MicroOps() int {
 // replaces that per-step work with a table lookup. All bits except
 // DecNewLine depend only on the instruction itself; DecNewLine encodes
 // the relationship to the previous dynamic instruction's fetch line and
-// is added by stream compilers (trace.PreDecode) or the classic step
-// path.
+// is added by the stream compiler (trace.PreDecode).
 type Decoded uint8
 
 // Decoded bits.

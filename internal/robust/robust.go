@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"exysim/internal/core"
-	"exysim/internal/isa"
 	"exysim/internal/obs"
 	"exysim/internal/trace"
 )
@@ -68,41 +67,38 @@ func (f *SliceFailure) String() string {
 	return fmt.Sprintf("%s/%s: %s: %s", f.Gen, f.Slice, f.Kind, f.Err)
 }
 
-// StepHook observes (or perturbs) every instruction of a guarded run;
-// n is the zero-based dynamic instruction index. Production runs leave
-// it nil — the fault-injection harness uses it to panic, stall, or
-// corrupt state at a chosen point.
-type StepHook func(n int, in *isa.Inst)
+// StepHook observes every instruction of a guarded run just before it
+// steps; n is the instruction's absolute index in the slice's stream.
+// Production runs leave it nil — the fault-injection harness uses it to
+// panic or stall at a chosen point. A run with a hook steps one
+// instruction per Replay call, so hooks cost nothing when absent.
+type StepHook func(n int)
 
 // ResultHook runs over the completed Result before the invariant check —
 // the fault-injection seam for NaN/negative-counter corruption, and an
 // extension point for custom per-slice validation.
 type ResultHook func(r *core.Result)
 
-// DefaultHeartbeat is the instruction interval between deadline checks.
-// It is a power of two so the check compiles to a mask, keeping the
-// watchdog off the critical path: one predictable branch per
-// instruction, one clock read per heartbeat, zero allocations.
+// DefaultHeartbeat is the instruction interval between deadline checks:
+// a guarded run replays DefaultHeartbeat-instruction chunks and polls
+// the clock and the cancel channel between them, keeping the watchdog
+// off the per-instruction path.
 const DefaultHeartbeat = 4096
 
 // Options configures one guarded slice run.
 type Options struct {
 	// Deadline bounds the wall-clock time of one slice; 0 disables the
 	// watchdog. The check is cooperative — it fires at the next
-	// heartbeat, so a slice can overshoot by up to HeartbeatEvery
+	// heartbeat, so a slice can overshoot by up to DefaultHeartbeat
 	// instructions' worth of work.
 	Deadline time.Duration
-	// HeartbeatEvery is the instruction interval between deadline
-	// checks; it is rounded up to a power of two. 0 means
-	// DefaultHeartbeat.
-	HeartbeatEvery int
 	// CheckInvariants runs Check over the completed result and converts
 	// violations into KindInvariant failures.
 	CheckInvariants bool
 	// Cancel aborts the run cooperatively when closed (typically a
 	// context's Done channel). Like the deadline it is polled at
 	// heartbeat granularity, so a canceled slice stops within
-	// HeartbeatEvery instructions instead of running to completion. A
+	// DefaultHeartbeat instructions instead of running to completion. A
 	// nil channel disables the check.
 	Cancel <-chan struct{}
 	// HeartbeatHist, when non-nil, records the wall-clock microseconds
@@ -124,114 +120,26 @@ type Options struct {
 	AfterWarmup func()
 }
 
-func (o *Options) heartbeatMask() int {
-	hb := o.HeartbeatEvery
-	if hb <= 0 {
-		hb = DefaultHeartbeat
-	}
-	// Round up to a power of two so the loop tests n&mask instead of n%hb.
-	p := 1
-	for p < hb {
-		p <<= 1
-	}
-	return p - 1
+// RunGuarded replays sl on sim under opts from the start of the stream:
+// RunGuardedDecoded over a fresh pre-decode. For a healthy slice the
+// returned Result is bit-identical to sim.Run(sl).
+func RunGuarded(sim *core.Simulator, sl *trace.Slice, opts Options) (core.Result, *SliceFailure) {
+	return RunGuardedDecoded(sim, sl.PreDecode(), 0, opts)
 }
 
-// RunGuarded replays sl on sim under opts, reproducing exactly the
-// warmup/measure protocol of core.Simulator.Run: for a healthy slice the
-// returned Result is bit-identical to sim.Run(sl). On failure it returns
-// a SliceFailure (with Gen/Slice/ConfigDigest filled in) and the
-// simulator must be treated as corrupted: Reset() is not enough after a
-// panic or timeout, because internal state may have been torn mid-update
-// — discard the instance.
-func RunGuarded(sim *core.Simulator, sl *trace.Slice, opts Options) (res core.Result, fail *SliceFailure) {
-	cfg := sim.Config()
-	mkFail := func(kind FailureKind, err string, stack string) *SliceFailure {
-		return &SliceFailure{
-			Gen: cfg.Name, Slice: sl.Name,
-			Kind: kind, Err: err, Stack: stack,
-			ConfigDigest: obs.ConfigDigest(cfg),
-		}
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			res = core.Result{}
-			fail = mkFail(KindPanic, fmt.Sprint(p), string(debug.Stack()))
-		}
-	}()
-
-	start := time.Now()
-	mask := opts.heartbeatMask()
-	deadline := opts.Deadline
-	cancel := opts.Cancel
-	hbHist := opts.HeartbeatHist
-	lastBeat := start
-
-	sl.Reset()
-	c := sim.Core()
-	n := 0
-	for {
-		in, err := sl.Next()
-		if err != nil {
-			break
-		}
-		if opts.StepHook != nil {
-			opts.StepHook(n, &in)
-		}
-		c.Step(&in)
-		n++
-		if n == sl.Warmup {
-			c.ResetStats()
-			if opts.AfterWarmup != nil {
-				opts.AfterWarmup()
-			}
-		}
-		if n&mask == 0 {
-			if hbHist != nil {
-				now := time.Now()
-				hbHist.Observe(uint64(now.Sub(lastBeat).Microseconds()))
-				lastBeat = now
-			}
-			if cancel != nil {
-				select {
-				case <-cancel:
-					return core.Result{}, mkFail(KindCanceled,
-						fmt.Sprintf("run canceled after %d instructions", n), "")
-				default:
-				}
-			}
-			if deadline > 0 && time.Since(start) > deadline {
-				return core.Result{}, mkFail(KindTimeout,
-					fmt.Sprintf("slice exceeded %v deadline after %d instructions", deadline, n), "")
-			}
-		}
-	}
-	res = sim.Snapshot(sl)
-	if opts.ResultHook != nil {
-		opts.ResultHook(&res)
-	}
-	if opts.CheckInvariants {
-		if err := Check(&res); err != nil {
-			return core.Result{}, mkFail(KindInvariant, err.Error(), "")
-		}
-	}
-	return res, nil
-}
-
-// RunGuardedDecoded is RunGuarded over a pre-decoded stream: the step
-// loop indexes the slice's shared read-only instruction storage and its
-// compiled decode metadata directly, with no per-instruction copy and no
-// heap traffic — the production fast path for population sweeps. from is
-// the stream position to start at: 0 for a full warmup+measure replay
-// (bit-identical to RunGuarded), or the slice's Warmup for a run forked
-// from a warm-state snapshot the caller just restored (the warmup
-// boundary's stats reset already happened before the capture, so none is
-// performed).
+// RunGuardedDecoded replays the pre-decoded slice on sim under opts,
+// through core.Simulator.Replay — the same warmup/measure protocol as
+// core.Simulator.Run. from is the stream position to start at: 0 for a
+// full warmup+measure replay (bit-identical to Run), or the slice's
+// Warmup for a run forked from a warm-state snapshot the caller just
+// restored (the warmup boundary's stats reset already happened before
+// the capture, so none is performed). The run only reads pd, so
+// concurrent runs may share it.
 //
-// A non-nil StepHook forces the classic path: hooks may mutate the
-// instruction they observe, which must not reach the shared stream.
-// From 0 that is a transparent fallback; a forked run with a hook is a
-// contract violation and fails the slice rather than corrupting storage.
+// On failure it returns a SliceFailure (with Gen/Slice/ConfigDigest
+// filled in) and the simulator must be treated as corrupted: Reset() is
+// not enough after a panic or timeout, because internal state may have
+// been torn mid-update — discard the instance.
 func RunGuardedDecoded(sim *core.Simulator, pd *trace.PreDecoded, from int, opts Options) (res core.Result, fail *SliceFailure) {
 	sl := pd.Slice
 	cfg := sim.Config()
@@ -242,14 +150,6 @@ func RunGuardedDecoded(sim *core.Simulator, pd *trace.PreDecoded, from int, opts
 			ConfigDigest: obs.ConfigDigest(cfg),
 		}
 	}
-	if opts.StepHook != nil {
-		if from != 0 {
-			return core.Result{}, mkFail(KindInvariant,
-				"decoded fork with a step hook: hooks require the classic full replay", "")
-		}
-		cur := sl.Cursor()
-		return RunGuarded(sim, &cur, opts)
-	}
 	defer func() {
 		if p := recover(); p != nil {
 			res = core.Result{}
@@ -258,43 +158,45 @@ func RunGuardedDecoded(sim *core.Simulator, pd *trace.PreDecoded, from int, opts
 	}()
 
 	start := time.Now()
-	mask := opts.heartbeatMask()
-	deadline := opts.Deadline
-	cancel := opts.Cancel
-	hbHist := opts.HeartbeatHist
 	lastBeat := start
-
-	c := sim.Core()
-	insts, meta := sl.Insts, pd.Meta
-	warm := sl.Warmup
-	n := 0
-	for i := from; i < len(insts); i++ {
-		c.StepDecoded(&insts[i], meta[i])
-		n++
-		if i+1 == warm {
-			c.ResetStats()
-			if opts.AfterWarmup != nil {
-				opts.AfterWarmup()
+	total, warm := len(sl.Insts), sl.Warmup
+	for i := from; i < total; {
+		// A chunk runs to the next heartbeat, stops at the warmup
+		// boundary so AfterWarmup sees the fresh reset, and shrinks to
+		// one instruction when a step hook must see each one.
+		end := min(i+DefaultHeartbeat-(i-from)%DefaultHeartbeat, total)
+		if i < warm && warm < end {
+			end = warm
+		}
+		if opts.StepHook != nil {
+			opts.StepHook(i)
+			end = i + 1
+		}
+		sim.Replay(pd, i, end)
+		i = end
+		if i == warm && opts.AfterWarmup != nil {
+			opts.AfterWarmup()
+		}
+		n := i - from
+		if n%DefaultHeartbeat != 0 {
+			continue
+		}
+		if opts.HeartbeatHist != nil {
+			now := time.Now()
+			opts.HeartbeatHist.Observe(uint64(now.Sub(lastBeat).Microseconds()))
+			lastBeat = now
+		}
+		if opts.Cancel != nil {
+			select {
+			case <-opts.Cancel:
+				return core.Result{}, mkFail(KindCanceled,
+					fmt.Sprintf("run canceled after %d instructions", n), "")
+			default:
 			}
 		}
-		if n&mask == 0 {
-			if hbHist != nil {
-				now := time.Now()
-				hbHist.Observe(uint64(now.Sub(lastBeat).Microseconds()))
-				lastBeat = now
-			}
-			if cancel != nil {
-				select {
-				case <-cancel:
-					return core.Result{}, mkFail(KindCanceled,
-						fmt.Sprintf("run canceled after %d instructions", n), "")
-				default:
-				}
-			}
-			if deadline > 0 && time.Since(start) > deadline {
-				return core.Result{}, mkFail(KindTimeout,
-					fmt.Sprintf("slice exceeded %v deadline after %d instructions", deadline, n), "")
-			}
+		if opts.Deadline > 0 && time.Since(start) > opts.Deadline {
+			return core.Result{}, mkFail(KindTimeout,
+				fmt.Sprintf("slice exceeded %v deadline after %d instructions", opts.Deadline, n), "")
 		}
 	}
 	res = sim.Snapshot(sl)
@@ -334,11 +236,15 @@ func BackoffCeiling(attempt int) time.Duration {
 	return d
 }
 
-// RunWithRetry runs sl guarded, retrying with a fresh simulator (bounded
-// backoff between attempts) up to retries extra times. The first attempt
-// uses sim if non-nil (a pooled instance the caller already Reset); every
-// retry builds a fresh one via build, because the dominant cause of a
-// retryable failure is exactly a corrupted pooled instance.
+// RunWithRetryFunc runs a guarded slice, retrying with a fresh simulator
+// (bounded backoff between attempts) up to retries extra times.
+// run(sim, attempt) performs one isolated execution (attempt is
+// 1-based); the sweep harness uses it to vary the strategy across
+// attempts — a warm-state fork first, a cold full replay on retry, so a
+// poisoned snapshot can never fail a slice permanently. The first
+// attempt uses sim if non-nil (a pooled instance the caller already
+// Reset); every retry builds a fresh one via build, because the dominant
+// cause of a retryable failure is exactly a corrupted pooled instance.
 //
 // A KindCanceled failure short-circuits: cancellation is a caller
 // decision, not a transient fault, so it is returned immediately with no
@@ -348,18 +254,6 @@ func BackoffCeiling(attempt int) time.Duration {
 // pooling; nil if every attempt failed), the per-attempt failures
 // (empty on first-attempt success; the last entry carries the final
 // Attempts count), and whether the slice ultimately succeeded.
-func RunWithRetry(sim *core.Simulator, build func() *core.Simulator, sl *trace.Slice, opts Options, retries int) (core.Result, *core.Simulator, []SliceFailure, bool) {
-	return RunWithRetryFunc(sim, build, retries, func(s *core.Simulator, _ int) (core.Result, *SliceFailure) {
-		return RunGuarded(s, sl, opts)
-	})
-}
-
-// RunWithRetryFunc is RunWithRetry generalized over the guarded attempt
-// itself: run(sim, attempt) performs one isolated execution (attempt is
-// 1-based). The sweep harness uses it to vary the strategy across
-// attempts — a warm-state fork first, a cold full replay on retry, so a
-// poisoned snapshot can never fail a slice permanently. Discard/backoff
-// semantics are identical to RunWithRetry.
 func RunWithRetryFunc(sim *core.Simulator, build func() *core.Simulator, retries int, run func(*core.Simulator, int) (core.Result, *SliceFailure)) (core.Result, *core.Simulator, []SliceFailure, bool) {
 	var failures []SliceFailure
 	for attempt := 1; ; attempt++ {

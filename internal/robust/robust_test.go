@@ -4,11 +4,13 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"exysim/internal/core"
-	"exysim/internal/isa"
+	"exysim/internal/snapshot"
+	"exysim/internal/trace"
 	"exysim/internal/workload"
 )
 
@@ -31,7 +33,7 @@ func TestRunGuardedMatchesRunBitIdentical(t *testing.T) {
 func TestRunGuardedRecoversPanic(t *testing.T) {
 	g := core.Generations()[0]
 	sl := workload.Suite(tinySpec)[0]
-	opts := Options{StepHook: func(n int, _ *isa.Inst) {
+	opts := Options{StepHook: func(n int) {
 		if n == 100 {
 			panic("boom at 100")
 		}
@@ -61,10 +63,12 @@ func TestRunGuardedDeadline(t *testing.T) {
 	g := core.Generations()[0]
 	sl := workload.Suite(tinySpec)[0]
 	opts := Options{
-		Deadline:       5 * time.Millisecond,
-		HeartbeatEvery: 64,
-		StepHook: func(n int, _ *isa.Inst) {
-			time.Sleep(200 * time.Microsecond) // 64 insts/heartbeat × 200µs ≫ 5ms
+		Deadline: 5 * time.Millisecond,
+		StepHook: func(n int) {
+			// Spin, not sleep: timer slack would stretch every stall to
+			// tens of microseconds. 4096 insts/heartbeat × 5µs ≫ 5ms.
+			for t0 := time.Now(); time.Since(t0) < 5*time.Microsecond; {
+			}
 		},
 	}
 	_, fail := RunGuarded(core.NewSimulator(g), sl, opts)
@@ -95,9 +99,8 @@ func TestRunGuardedCancelStopsMidSlice(t *testing.T) {
 	cancel := make(chan struct{})
 	stepped := 0
 	opts := Options{
-		HeartbeatEvery: 64,
-		Cancel:         cancel,
-		StepHook: func(n int, _ *isa.Inst) {
+		Cancel: cancel,
+		StepHook: func(n int) {
 			stepped = n
 			if n == 100 {
 				close(cancel)
@@ -130,6 +133,14 @@ func TestRunGuardedNilCancelRuns(t *testing.T) {
 	}
 }
 
+// guarded adapts a full guarded replay of sl to RunWithRetryFunc's
+// per-attempt signature.
+func guarded(sl *trace.Slice, opts Options) func(*core.Simulator, int) (core.Result, *SliceFailure) {
+	return func(s *core.Simulator, _ int) (core.Result, *SliceFailure) {
+		return RunGuarded(s, sl, opts)
+	}
+}
+
 func TestRunWithRetryDoesNotRetryCancel(t *testing.T) {
 	g := core.Generations()[0]
 	sl := workload.Suite(tinySpec)[0]
@@ -137,7 +148,7 @@ func TestRunWithRetryDoesNotRetryCancel(t *testing.T) {
 	close(cancel)
 	builds := 0
 	build := func() *core.Simulator { builds++; return core.NewSimulator(g) }
-	_, sim, fails, ok := RunWithRetry(nil, build, sl, Options{Cancel: cancel, HeartbeatEvery: 64}, 5)
+	_, sim, fails, ok := RunWithRetryFunc(nil, build, 5, guarded(sl, Options{Cancel: cancel}))
 	if ok {
 		t.Fatal("canceled run must not report success")
 	}
@@ -149,22 +160,6 @@ func TestRunWithRetryDoesNotRetryCancel(t *testing.T) {
 	}
 	if len(fails) != 1 || fails[0].Kind != KindCanceled {
 		t.Fatalf("want a single canceled record, got %+v", fails)
-	}
-}
-
-func TestHeartbeatMaskRoundsUp(t *testing.T) {
-	for _, tc := range []struct{ in, mask int }{
-		{0, DefaultHeartbeat - 1},
-		{1, 0},
-		{2, 1},
-		{3, 3},
-		{64, 63},
-		{100, 127},
-	} {
-		o := Options{HeartbeatEvery: tc.in}
-		if got := o.heartbeatMask(); got != tc.mask {
-			t.Errorf("heartbeatMask(%d) = %d, want %d", tc.in, got, tc.mask)
-		}
 	}
 }
 
@@ -212,14 +207,14 @@ func TestRunWithRetryTransientFault(t *testing.T) {
 	ref := core.RunSlice(g, sl)
 
 	fired := false
-	opts := Options{CheckInvariants: true, StepHook: func(n int, _ *isa.Inst) {
+	opts := Options{CheckInvariants: true, StepHook: func(n int) {
 		if n == 50 && !fired {
 			fired = true
 			panic("transient")
 		}
 	}}
 	build := func() *core.Simulator { return core.NewSimulator(g) }
-	res, sim, fails, ok := RunWithRetry(core.NewSimulator(g), build, sl, opts, 2)
+	res, sim, fails, ok := RunWithRetryFunc(core.NewSimulator(g), build, 2, guarded(sl, opts))
 	if !ok {
 		t.Fatalf("transient fault should recover on retry: %+v", fails)
 	}
@@ -237,13 +232,13 @@ func TestRunWithRetryTransientFault(t *testing.T) {
 func TestRunWithRetryPersistentFaultQuarantines(t *testing.T) {
 	g := core.Generations()[0]
 	sl := workload.Suite(tinySpec)[0]
-	opts := Options{StepHook: func(n int, _ *isa.Inst) {
+	opts := Options{StepHook: func(n int) {
 		if n == 50 {
 			panic("persistent")
 		}
 	}}
 	build := func() *core.Simulator { return core.NewSimulator(g) }
-	_, sim, fails, ok := RunWithRetry(nil, build, sl, opts, 2)
+	_, sim, fails, ok := RunWithRetryFunc(nil, build, 2, guarded(sl, opts))
 	if ok {
 		t.Fatal("persistent fault must not succeed")
 	}
@@ -255,5 +250,98 @@ func TestRunWithRetryPersistentFaultQuarantines(t *testing.T) {
 	}
 	if last := fails[len(fails)-1]; last.Attempts != 3 || last.Kind != KindPanic {
 		t.Fatalf("final record should carry the attempt count: %+v", last)
+	}
+}
+
+// TestWarmupRuleSinglePath pins the warmup rule every run path shares:
+// for a warmup of none, one instruction, all but one, and the whole
+// slice, Run, RunGuarded, RunGuardedDecoded from 0, and a warm fork
+// restored at the boundary agree bit for bit, and AfterWarmup fires
+// exactly once when 1 <= Warmup <= len. Invariants stay unchecked: a
+// warmup covering the whole slice leaves an empty measured region.
+func TestWarmupRuleSinglePath(t *testing.T) {
+	base := workload.Suite(tinySpec)[0]
+	n := len(base.Insts)
+	for _, name := range []string{"M1", "M6"} {
+		g, _ := core.GenByName(name)
+		for _, w := range []int{0, 1, n - 1, n} {
+			sl := base.Cursor()
+			sl.Warmup = w
+			wantFires := 0
+			if w >= 1 {
+				wantFires = 1
+			}
+			ref := core.NewSimulator(g).Run(&sl)
+
+			fires := 0
+			got, fail := RunGuarded(core.NewSimulator(g), &sl, Options{AfterWarmup: func() { fires++ }})
+			if fail != nil || !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s warmup %d: RunGuarded differs from Run (fail %v)", name, w, fail)
+			}
+			if fires != wantFires {
+				t.Errorf("%s warmup %d: RunGuarded fired AfterWarmup %d times, want %d", name, w, fires, wantFires)
+			}
+
+			pd := sl.PreDecode()
+			sim := core.NewSimulator(g)
+			var img *snapshot.Image
+			fires = 0
+			got, fail = RunGuardedDecoded(sim, pd, 0, Options{AfterWarmup: func() {
+				fires++
+				var err error
+				if img, err = sim.CaptureState(); err != nil {
+					t.Errorf("%s warmup %d: capture: %v", name, w, err)
+				}
+			}})
+			if fail != nil || !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s warmup %d: RunGuardedDecoded from 0 differs from Run (fail %v)", name, w, fail)
+			}
+			if fires != wantFires {
+				t.Errorf("%s warmup %d: RunGuardedDecoded fired AfterWarmup %d times, want %d", name, w, fires, wantFires)
+			}
+
+			if w == 0 || w == n {
+				continue
+			}
+			forked := core.NewSimulator(g)
+			if err := forked.RestoreState(img); err != nil {
+				t.Fatalf("%s warmup %d: restore: %v", name, w, err)
+			}
+			fires = 0
+			got, fail = RunGuardedDecoded(forked, pd, w, Options{AfterWarmup: func() { fires++ }})
+			if fail != nil || !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s warmup %d: forked run differs from Run (fail %v)", name, w, fail)
+			}
+			if fires != 0 {
+				t.Errorf("%s warmup %d: forked run fired AfterWarmup %d times, want 0", name, w, fires)
+			}
+		}
+	}
+}
+
+// TestConcurrentReplaysShareSlice pins that replays only read the slice:
+// Run and RunGuarded racing over one *trace.Slice (as pooled workers do
+// over a shared warm-cache population) must each match a sequential run,
+// and `go test -race` must see no write to the shared slice.
+func TestConcurrentReplaysShareSlice(t *testing.T) {
+	g := core.Generations()[0]
+	sl := workload.Suite(tinySpec)[0]
+	ref := core.RunSlice(g, sl)
+
+	var run, guard core.Result
+	var fail *SliceFailure
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); run = core.RunSlice(g, sl) }()
+	go func() {
+		defer wg.Done()
+		guard, fail = RunGuarded(core.NewSimulator(g), sl, Options{CheckInvariants: true})
+	}()
+	wg.Wait()
+	if !reflect.DeepEqual(run, ref) {
+		t.Error("concurrent Run differs from a sequential run")
+	}
+	if fail != nil || !reflect.DeepEqual(guard, ref) {
+		t.Errorf("concurrent RunGuarded differs from a sequential run (fail %v)", fail)
 	}
 }

@@ -21,8 +21,8 @@ type PreDecoded struct {
 // PreDecode compiles the slice's decode stream. The DecNewLine bit of
 // instruction i encodes whether its 64B fetch line differs from
 // instruction i-1's (instruction 0 always starts a line, matching a
-// cold core's sentinel fetch line), so a replay from any position i>0
-// sees exactly the bits the classic step path would derive there.
+// cold core), so a replay resumed at any position i>0 sees exactly
+// the bits a full replay sees there.
 func (s *Slice) PreDecode() *PreDecoded {
 	meta := make([]isa.Decoded, len(s.Insts))
 	prevLine := ^uint64(0)

@@ -11,13 +11,49 @@ import (
 	"exysim/internal/workload"
 )
 
-// TestStepLoopDoesNotAllocate pins the zero-allocation property of the
-// measured region: after warmup, stepping instructions through the
-// heaviest configuration (M6) performs no heap allocations. Every
-// microarchitectural table is preallocated at construction and every
-// prefetch engine returns requests through a reused buffer, so a
+// TestDecodedStepLoopDoesNotAllocate pins the zero-allocation property
+// of the measured region: after warmup, replaying pre-decoded
+// instructions through the heaviest configuration (M6) performs no heap
+// allocations. Every microarchitectural table is preallocated at
+// construction, every prefetch engine returns requests through a reused
+// buffer, and Replay indexes the slice's shared stream in place, so a
 // regression here means a new allocation crept into the per-instruction
 // path.
+func TestDecodedStepLoopDoesNotAllocate(t *testing.T) {
+	g, ok := core.GenByName("M6")
+	if !ok {
+		t.Fatal("M6 missing")
+	}
+	sl, err := workload.ByName("specint/0", benchSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pd := sl.PreDecode()
+	sim := core.NewSimulator(g)
+	// Warm every table, ring and reused buffer with the first half of
+	// the slice.
+	half := len(sl.Insts) / 2
+	sim.Replay(pd, 0, half)
+	const window = 512
+	pos := half
+	avg := testing.AllocsPerRun(20, func() {
+		// Replay a window of instructions per run so the measurement
+		// covers branches, loads, stores and prefetch trains.
+		if pos+window > len(sl.Insts) {
+			pos = half
+		}
+		sim.Replay(pd, pos, pos+window)
+		pos += window
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state step loop allocates: %.1f allocs per %d-inst window, want 0", avg, window)
+	}
+}
+
+// TestStepLoopDoesNotAllocate pins the same property at the finest
+// stepping granularity: one Replay call per instruction, the way
+// cluster.Run interleaves its lanes. Per-call overhead in Replay (the
+// warmup check, slicing the shared stream) must not allocate either.
 func TestStepLoopDoesNotAllocate(t *testing.T) {
 	g, ok := core.GenByName("M6")
 	if !ok {
@@ -27,31 +63,24 @@ func TestStepLoopDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pd := sl.PreDecode()
 	sim := core.NewSimulator(g)
-	c := sim.Core()
-	// Warm every table, ring and reused buffer with the first half of
-	// the slice.
 	half := len(sl.Insts) / 2
 	for i := 0; i < half; i++ {
-		in := sl.Insts[i]
-		c.Step(&in)
+		sim.Replay(pd, i, i+1)
 	}
-	rest := sl.Insts[half:]
-	pos := 0
+	pos := half
 	avg := testing.AllocsPerRun(20, func() {
-		// Step a window of instructions per run so the measurement
-		// covers branches, loads, stores and prefetch trains.
 		for i := 0; i < 512; i++ {
-			in := rest[pos]
-			c.Step(&in)
+			sim.Replay(pd, pos, pos+1)
 			pos++
-			if pos == len(rest) {
-				pos = 0
+			if pos == len(sl.Insts) {
+				pos = half
 			}
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("steady-state step loop allocates: %.1f allocs per 512-inst window, want 0", avg)
+		t.Fatalf("one-instruction Replay loop allocates: %.1f allocs per 512-inst window, want 0", avg)
 	}
 }
 
@@ -74,13 +103,10 @@ func TestResetAndRerunDoesNotAllocate(t *testing.T) {
 	// First slice on the fresh simulator: grows append-managed buffers
 	// (MAB list, prefetch request buffers) to their steady capacity.
 	sim.Run(sl)
-	c := sim.Core()
-	insts := sl.Insts
+	pd := sl.PreDecode()
 	avg := testing.AllocsPerRun(5, func() {
 		sim.Reset()
-		for i := range insts {
-			c.Step(&insts[i])
-		}
+		sim.Replay(pd, 0, len(sl.Insts))
 	})
 	if avg != 0 {
 		t.Fatalf("Reset+rerun allocates: %.1f allocs per slice, want 0", avg)
