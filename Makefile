@@ -50,9 +50,12 @@ serve-smoke:
 # snapfork-smoke races the warm-state snapshot/fork protocol: forked
 # runs must be bit-identical to cold re-warms for every generation, the
 # sweep API must produce identical results with and without a warm
-# cache, and the pre-decoded steady-state step loop must not allocate.
+# cache, the pre-decoded steady-state step loop must not allocate, and
+# the snapshot codec's own tests (zero-RLE reference and fuzz seed
+# corpus, corrupt-image rejection) must pass.
 snapfork-smoke:
-	$(GO) test -race -run 'TestWarmForkMatchesColdRerun|TestRunWithWarmSnapshotsBitIdentical|TestDecodedStepLoopDoesNotAllocate' .
+	$(GO) test -race -run 'TestWarmForkMatchesColdRerun|TestRunWithWarmSnapshotsBitIdentical|TestDecodedStepLoopDoesNotAllocate' . && \
+	$(GO) test -race ./internal/snapshot/
 
 # fabric-smoke races the distributed sweep fabric end to end: shard
 # planning/merge bit-identity under random partitions, the coordinator's

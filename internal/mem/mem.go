@@ -541,13 +541,6 @@ func (s *System) fillL2(addr uint64, now, readyAt uint64, origin uint8) {
 	}
 	v := s.l2.Fill(addr, now, readyAt, origin, cache.InsertElevated)
 	s.castout(v, now)
-	// A fill that comes back after a previous castout is a
-	// re-allocation; mark it so the next castout decision protects it.
-	if s.l3 != nil {
-		// The exclusive L3 no longer holds it (moved or absent), but if
-		// it supplied the data the caller invalidated it; the Realloc
-		// mark is set by memRead's L3-hit path via SetRealloc below.
-	}
 }
 
 // castout implements the coordinated cache-hierarchy management: on an

@@ -32,6 +32,7 @@ package snapshot
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -147,10 +148,20 @@ type sliceHeader struct {
 // cheaper inside a literal than as a record boundary.
 const zeroRunMin = 64
 
-// zeroPrefixLen returns the length of b's zero prefix, scanning a word
-// at a time.
+// zeroPrefixLen returns the length of b's zero prefix. Warm state is
+// mostly zero, so the scan skips whole 64-byte blocks (eight OR-ed words
+// per test) before finishing word- and byte-wise.
 func zeroPrefixLen(b []byte) int {
 	n := 0
+	for ; n+64 <= len(b); n += 64 {
+		w := b[n : n+64 : n+64]
+		if binary.LittleEndian.Uint64(w[0:])|binary.LittleEndian.Uint64(w[8:])|
+			binary.LittleEndian.Uint64(w[16:])|binary.LittleEndian.Uint64(w[24:])|
+			binary.LittleEndian.Uint64(w[32:])|binary.LittleEndian.Uint64(w[40:])|
+			binary.LittleEndian.Uint64(w[48:])|binary.LittleEndian.Uint64(w[56:]) != 0 {
+			break
+		}
+	}
 	for n+8 <= len(b) && binary.LittleEndian.Uint64(b[n:]) == 0 {
 		n += 8
 	}
@@ -447,7 +458,7 @@ func (r *restorer) bulk(p unsafe.Pointer, n uintptr) error {
 		return fmt.Errorf("snapshot: POD chunk at %s is %d bytes, target needs %d", r.at(), ln, n)
 	}
 	dst := unsafe.Slice((*byte)(p), n)
-	for off := 0; off < int(n); {
+	for off := 0; off < len(dst); {
 		z, err := r.dataUvarint()
 		if err != nil {
 			return err
@@ -456,40 +467,19 @@ func (r *restorer) bulk(p unsafe.Pointer, n uintptr) error {
 		if err != nil {
 			return err
 		}
-		if off+int(z)+int(lit) > int(n) || r.dp+int(lit) > len(r.img.data) {
+		// Compare as uint64: a corrupt length past math.MaxInt would wrap
+		// negative as an int and slip through.
+		left := uint64(len(dst) - off)
+		if z > left || lit > left-z || lit > uint64(len(r.img.data)-r.dp) {
 			return fmt.Errorf("snapshot: POD chunk overruns its size at %s", r.at())
 		}
-		clearDirty(dst[off : off+int(z)])
+		clear(dst[off : off+int(z)])
 		off += int(z)
 		copy(dst[off:off+int(lit)], r.img.data[r.dp:r.dp+int(lit)])
 		r.dp += int(lit)
 		off += int(lit)
 	}
 	return nil
-}
-
-// clearDirty zeroes b, skipping 256-byte blocks that are already zero.
-// A restore's zero runs cover state that was untouched at capture time —
-// state the run since then mostly left untouched too — so checking with
-// reads before storing avoids dirtying (and later writing back) the
-// clean majority of a multi-megabyte image.
-func clearDirty(b []byte) {
-	const blk = 256
-	for len(b) >= blk {
-		var acc uint64
-		for i := 0; i < blk; i += 8 {
-			acc |= binary.LittleEndian.Uint64(b[i:])
-		}
-		if acc != 0 {
-			clear(b[:blk])
-		}
-		b = b[blk:]
-	}
-	for i := range b {
-		if b[i] != 0 {
-			b[i] = 0
-		}
-	}
 }
 
 // dataUvarint reads one record length from the data stream.
@@ -556,6 +546,18 @@ func (r *restorer) restore(t reflect.Type, p unsafe.Pointer) error {
 		if err != nil {
 			return err
 		}
+		// A length the image cannot describe is corrupt: each element of
+		// a non-POD slice emits at least one tag, and a POD slice's byte
+		// size must fit an int. Compared as uint64, since a length past
+		// math.MaxInt would wrap negative as an int.
+		et := t.Elem()
+		limit := uint64(len(r.img.tags) - r.tp)
+		if r.c.pod(et) {
+			limit = math.MaxInt / uint64(max(et.Size(), 1))
+		}
+		if ln > limit {
+			return fmt.Errorf("snapshot: corrupt length at %s", r.at())
+		}
 		// State slices change length as the simulation runs (append-grown
 		// request buffers): rebind the target's length to the captured
 		// one, reusing the backing array when capacity allows and
@@ -571,7 +573,6 @@ func (r *restorer) restore(t reflect.Type, p unsafe.Pointer) error {
 		if n == 0 {
 			return nil
 		}
-		et := t.Elem()
 		if r.c.pod(et) {
 			return r.bulk(sh.data, uintptr(n)*et.Size())
 		}
