@@ -347,7 +347,7 @@ func runPopulation(command string, pf *popFlags, artifacts map[string]string) *e
 		opts = append(opts, experiments.WithWarmSnapshots(warmCache()))
 	}
 	if *pf.progress {
-		total := len(workload.Suite(sp)) * genCount
+		total := len(workload.Plan(sp)) * genCount
 		opts = append(opts, experiments.WithProgress(obs.NewProgress(os.Stderr, command, total)))
 	}
 	if *pf.checkpoint != "" {

@@ -171,9 +171,9 @@ func RunShard(ctx context.Context, spec workload.SuiteSpec, sh Shard, opts ...Op
 // (generation, slice) order — so any permutation or partition of the
 // same underlying results yields a byte-identical SummaryDoc.
 //
-// slices is the materialized population for spec (workload.Suite or a
-// WarmCache's cached copy); the caller supplies it so a coordinator
-// merging many sweeps can reuse one generation of the suite.
+// slices is the population in order. The merge reads only each slice's
+// Name, Suite and Weight, so a coordinator passes header slices
+// (workload.SliceRef.Header) and never generates the suite it merges.
 func MergeShards(spec workload.SuiteSpec, gens []core.GenConfig, slices []*trace.Slice, docs []*ShardDoc) (*PopulationRun, error) {
 	spec = spec.Normalize()
 	p := &PopulationRun{Spec: spec, Gens: gens, Slices: slices}

@@ -20,9 +20,13 @@ import (
 const DefaultSnapshotBudget = 2 << 30
 
 // warmCacheBounds keep the side indexes (suites, decode streams, digest
-// memos) from growing without limit in a long-lived process. Eviction
-// beyond a bound is arbitrary-entry, not LRU: these entries are cheap to
-// rebuild and the bounds are far above any steady working set.
+// memos) from growing without limit in a long-lived process. Suites are
+// evicted oldest-inserted first, and an evicted suite takes its slices'
+// digest memos and decode streams with it, so on fresh-seed traffic the
+// memos hold about maxCachedSuites suites' worth of slices. The stream
+// and digest bounds only cap slices that come from elsewhere (trace
+// populations, callers' own slices); beyond them eviction is
+// arbitrary-entry, since these entries are cheap to rebuild.
 const (
 	maxCachedSuites  = 8
 	maxCachedStreams = 4096
@@ -56,14 +60,15 @@ const (
 //
 // All methods are safe for concurrent use.
 type WarmCache struct {
-	mu      sync.Mutex
-	suites  map[string][]*trace.Slice
-	digests map[*trace.Slice]uint64
-	decoded map[uint64]*trace.PreDecoded
-	snaps   map[snapKey]*list.Element
-	lru     *list.List // front = most recent; values are *snapEntry
-	bytes   int64
-	budget  int64
+	mu         sync.Mutex
+	suites     map[string][]*trace.Slice
+	suiteOrder []string // suites keys, oldest first
+	digests    map[*trace.Slice]uint64
+	decoded    map[uint64]*trace.PreDecoded
+	snaps      map[snapKey]*list.Element
+	lru        *list.List // front = most recent; values are *snapEntry
+	bytes      int64
+	budget     int64
 
 	suiteHits, suiteMisses   atomic.Uint64
 	decodeHits, decodeMisses atomic.Uint64
@@ -126,14 +131,30 @@ func (w *WarmCache) Suite(spec workload.SuiteSpec) []*trace.Slice {
 	if prev, ok := w.suites[key]; ok {
 		return prev // raced with another generator: keep the first
 	}
-	if len(w.suites) >= maxCachedSuites {
-		for k := range w.suites {
-			delete(w.suites, k)
-			break
-		}
+	if len(w.suiteOrder) >= maxCachedSuites {
+		w.dropSuiteLocked(w.suiteOrder[0])
+		w.suiteOrder = w.suiteOrder[1:]
 	}
 	w.suites[key] = s
+	w.suiteOrder = append(w.suiteOrder, key)
 	return s
+}
+
+// dropSuiteLocked evicts one suite together with its slices' digest
+// memos and the decode streams that point at them; both would otherwise
+// keep the evicted slices alive.
+func (w *WarmCache) dropSuiteLocked(key string) {
+	for _, sl := range w.suites[key] {
+		d, ok := w.digests[sl]
+		if !ok {
+			continue
+		}
+		delete(w.digests, sl)
+		if pd, ok := w.decoded[d]; ok && pd.Slice == sl {
+			delete(w.decoded, d)
+		}
+	}
+	delete(w.suites, key)
 }
 
 // snapshotsEnabled reports whether the byte budget admits any snapshot;

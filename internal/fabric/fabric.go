@@ -136,7 +136,6 @@ type sweep struct {
 	// gensWire is gens when the set differs from the default M1..M6 (it
 	// must ride every grant), nil when workers can use their own default.
 	gensWire []core.GenConfig
-	slices   []*trace.Slice
 	shards   []experiments.Shard
 	digests  []string
 	docs     []*experiments.ShardDoc
@@ -158,10 +157,13 @@ type sweep struct {
 // SubmitReq describes one sweep handed to Coordinator.Submit.
 type SubmitReq struct {
 	Spec workload.SuiteSpec
-	// Gens and Slices default to core.Generations() and
-	// workload.Suite(Spec); the serve layer passes its warm-cached
-	// suite so coordinator-side merges reuse one materialization.
-	Gens   []core.GenConfig
+	// Gens defaults to core.Generations().
+	Gens []core.GenConfig
+	// Slices is the population the shards cover; the coordinator reads
+	// only each slice's Name, Suite and Weight, to plan and merge. Nil
+	// means Spec's synthetic suite, taken as header slices from
+	// workload.Plan, so the coordinator never generates a suite it does
+	// not simulate; a trace sweep passes its ingested slices.
 	Slices []*trace.Slice
 	// Trace names the ingested population Slices came from
 	// (tracestore.PopulationID). It rides every Grant so workers resolve
@@ -546,7 +548,9 @@ func (c *Coordinator) Submit(ctx context.Context, req SubmitReq) (*experiments.P
 		if req.Trace != "" {
 			return nil, fmt.Errorf("fabric: sweep names trace population %s but carries no slices", req.Trace)
 		}
-		slices = workload.Suite(spec)
+		for _, ref := range workload.Plan(spec) {
+			slices = append(slices, ref.Header())
+		}
 	}
 	shards := experiments.PlanShards(len(gens), len(slices), c.cfg.ShardSlices)
 
@@ -558,7 +562,6 @@ func (c *Coordinator) Submit(ctx context.Context, req SubmitReq) (*experiments.P
 		trace:      req.Trace,
 		gens:       gens,
 		gensWire:   gensWire,
-		slices:     slices,
 		shards:     shards,
 		digests:    make([]string, len(shards)),
 		docs:       make([]*experiments.ShardDoc, len(shards)),

@@ -185,6 +185,70 @@ func TestFabricShardedSweepBitIdenticalWithWorkerKill(t *testing.T) {
 	wg.Wait()
 }
 
+// TestFabricCoordinatorGeneratesNoSuite: with workers serving a
+// synthetic sweep, the coordinator plans and merges from slice headers,
+// so its warm cache never generates (or looks up) the suite, and the
+// merged result still equals a single-process run.
+func TestFabricCoordinatorGeneratesNoSuite(t *testing.T) {
+	spec := serveSpec
+	spec.Seed = 0xC00D
+	ref, err := experiments.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(ref.SummaryDoc())
+
+	s := New(Config{Workers: 1, CacheEntries: -1, FabricShardSlices: 3})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel()
+	for _, name := range []string{"w1", "w2"} {
+		w := fabric.NewWorker(fabric.NewClient(ts.URL), name, fabricWorkerRunner())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.Run(ctx)
+		}()
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for s.Fabric().LiveWorkers() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("workers never joined")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	_, v := postJob(t, ts, specRequest(spec))
+	final := getJob(t, ts, v.ID)
+	for !final.Status.terminal() {
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep never finished: %+v", final)
+		}
+		time.Sleep(10 * time.Millisecond)
+		final = getJob(t, ts, v.ID)
+	}
+	if final.Status != StatusDone {
+		t.Fatalf("sweep ended %s: %s", final.Status, final.Error)
+	}
+	var doc experiments.SummaryDoc
+	if err := json.Unmarshal(final.Result, &doc); err != nil {
+		t.Fatalf("bad result document: %v", err)
+	}
+	if got, _ := json.Marshal(doc); !bytes.Equal(got, want) {
+		t.Fatalf("fabric sweep differs from single-process run:\n  want: %s\n  got:  %s", want, got)
+	}
+	if st := s.Fabric().Stats(); st.LocalRuns != 0 {
+		t.Fatalf("coordinator ran %d shards itself; the workers were meant to serve them all", st.LocalRuns)
+	}
+	if ws := s.warm.Stats(); ws.SuiteMisses != 0 || ws.SuiteHits != 0 {
+		t.Fatalf("coordinator warm cache touched the suite: %d misses, %d hits", ws.SuiteMisses, ws.SuiteHits)
+	}
+}
+
 // TestFabricGzipResponses: API responses honor Accept-Encoding (the
 // Go client decompresses transparently; we check the header at the
 // middleware seam), and bodyless statuses stay uncompressed.

@@ -177,6 +177,9 @@ func (r *JobRequest) resolve() (workload.SuiteSpec, error) {
 		if _, ok := core.GenByName(r.Gen); !ok {
 			return workload.SuiteSpec{}, fmt.Errorf("unknown generation %q", r.Gen)
 		}
+		if _, err := workload.Lookup(r.Slice, spec); err != nil {
+			return workload.SuiteSpec{}, err
+		}
 	} else if r.Gen != "" || r.Slice != "" {
 		return workload.SuiteSpec{}, fmt.Errorf("gen/slice are only valid for kind \"slice\"")
 	}

@@ -480,12 +480,13 @@ func (s *Server) runPopulation(job *Job) (json.RawMessage, error) {
 // runPopulationFabric routes the sweep through the fabric coordinator:
 // shards come from the digest-keyed cache or the worker fleet, with
 // the local shard runner as the liveness fallback if every worker
-// disappears mid-sweep.
+// disappears mid-sweep. A synthetic sweep passes no slices: the
+// coordinator plans and merges from slice headers, and only the
+// servers that simulate a shard generate its suite.
 func (s *Server) runPopulationFabric(job *Job) (json.RawMessage, error) {
 	req := fabric.SubmitReq{
-		Spec:   job.spec,
-		Gens:   job.gens,
-		Slices: s.warm.Suite(job.spec),
+		Spec: job.spec,
+		Gens: job.gens,
 		OnProgress: func(done, total int) {
 			job.setProgress(done, total)
 		},

@@ -116,6 +116,11 @@ func TestRequestValidation(t *testing.T) {
 		"slice without gen": `{"kind":"slice","slice":"web/0"}`,
 		"unknown gen":       `{"kind":"slice","gen":"M9","slice":"web/0"}`,
 		"gen on population": `{"gen":"M1"}`,
+		"unknown family":    `{"kind":"slice","gen":"M1","slice":"nosuch/99"}`,
+		"slice index junk":  `{"kind":"slice","gen":"M1","slice":"web/3abc"}`,
+		"slice index path":  `{"kind":"slice","gen":"M1","slice":"web/1/2"}`,
+		"negative index":    `{"kind":"slice","gen":"M1","slice":"web/-1"}`,
+		"missing index":     `{"kind":"slice","gen":"M1","slice":"web"}`,
 	} {
 		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -481,8 +486,9 @@ func TestSliceJobMatchesDirectRun(t *testing.T) {
 	}
 }
 
-// TestBadSliceNameFailsJob covers execution-time failure: an
-// unresolvable slice name fails the job with the error recorded.
+// TestBadSliceNameFailsJob covers both places an unresolvable slice name
+// is caught: submit answers 400 with the error recorded, so no job is
+// queued, and runSlice still refuses a job that reaches it with one.
 func TestBadSliceNameFailsJob(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
@@ -492,10 +498,31 @@ func TestBadSliceNameFailsJob(t *testing.T) {
 	req := specRequest(serveSpec)
 	req.Kind = "slice"
 	req.Gen, req.Slice = "M1", "nosuch/99"
-	_, v := postJob(t, ts, req)
-	done := waitJob(t, ts, v.ID)
-	if done.Status != StatusFailed || done.Error == "" {
-		t.Fatalf("bad slice job: %+v", done)
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || e.Error == "" {
+		t.Fatalf("bad slice submit: status %d, error %q", resp.StatusCode, e.Error)
+	}
+
+	good := specRequest(serveSpec)
+	spec, err := good.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := &Job{req: req, spec: spec}
+	if res, err := s.runSlice(job); err == nil {
+		t.Fatalf("runSlice accepted an unresolvable slice: %s", res)
 	}
 }
 

@@ -179,8 +179,10 @@ func (s *seqSel) next(ctx *emitCtx) int {
 // which target-history hashing learns but a capacity-limited VPC walk
 // cannot once the tour exceeds the chain.
 type markovSel struct {
-	primary  []int
-	alts     [][]int
+	primary []int
+	// alts[alts[i]:alts[i+1]] are target i's alternates: n+1 offsets
+	// followed by the targets themselves, in one allocation.
+	alts     []int32
 	fidelity float64
 	cur      int
 }
@@ -188,7 +190,7 @@ type markovSel struct {
 func newMarkovSel(r *rng.RNG, n, outDegree int) *markovSel {
 	m := &markovSel{
 		primary:  make([]int, n),
-		alts:     make([][]int, n),
+		alts:     make([]int32, n+1, n+1+n*outDegree),
 		fidelity: 0.9,
 	}
 	// Primary successors form one big cycle (a tour over all targets) so
@@ -197,14 +199,14 @@ func newMarkovSel(r *rng.RNG, n, outDegree int) *markovSel {
 	for i := 0; i < n; i++ {
 		m.primary[perm[i]] = perm[(i+1)%n]
 	}
-	for i := range m.alts {
+	for i := 0; i < n; i++ {
+		m.alts[i] = int32(len(m.alts))
 		deg := 1 + r.Intn(outDegree)
-		s := make([]int, deg)
-		for j := range s {
-			s[j] = r.Intn(n)
+		for j := 0; j < deg; j++ {
+			m.alts = append(m.alts, int32(r.Intn(n)))
 		}
-		m.alts[i] = s
 	}
+	m.alts[n] = int32(len(m.alts))
 	return m
 }
 
@@ -212,21 +214,13 @@ func (m *markovSel) next(ctx *emitCtx) int {
 	if ctx.r.Bool(m.fidelity) {
 		m.cur = m.primary[m.cur]
 	} else {
-		s := m.alts[m.cur]
-		m.cur = s[ctx.r.Intn(len(s))]
+		s := m.alts[m.alts[m.cur]:m.alts[m.cur+1]]
+		m.cur = int(s[ctx.r.Intn(len(s))])
 	}
 	return m.cur
 }
 
 // ---- memory behaviours ----
-
-// perSite is implemented by memory behaviours that should be cloned per
-// static instruction site: each load instruction in real code walks its
-// own array, so sharing one stream across many PCs would present every
-// PC with an irregular subsequence no stride engine could lock onto.
-type perSite interface {
-	clone(r *rng.RNG) memGen
-}
 
 // strideMem replays a multi-component stride pattern, e.g. +2x2,+5x1 in
 // units of element size, exactly the access shape §VII-A's multi-stride
@@ -246,11 +240,13 @@ type strideStep struct {
 	count  int
 }
 
-// clone gives a static load site its own stream, offset within the
-// family's working-set budget so total footprint stays bounded; each
-// site walks a hot sub-array (real loop arrays recycle far faster than
-// a whole heap).
-func (s *strideMem) clone(r *rng.RNG) memGen {
+// clone gives a static load site its own stream: each load instruction
+// in real code walks its own array, so sharing one stream across many
+// PCs would present every PC with an irregular subsequence no stride
+// engine could lock onto. The clone is offset within the family's
+// working-set budget so total footprint stays bounded; each site walks a
+// hot sub-array (real loop arrays recycle far faster than a whole heap).
+func (s *strideMem) clone(r *rng.RNG) strideMem {
 	c := *s
 	span := int(s.wsBytes >> 12)
 	if span < 1 {
@@ -265,7 +261,7 @@ func (s *strideMem) clone(r *rng.RNG) memGen {
 		c.wsBytes = s.wsBytes
 	}
 	c.cur, c.pi, c.rep = 0, 0, 0
-	return &c
+	return c
 }
 
 func (s *strideMem) next(ctx *emitCtx) uint64 {

@@ -45,8 +45,8 @@ func TestStrideMemWrapsWorkingSet(t *testing.T) {
 func TestStrideCloneIndependence(t *testing.T) {
 	r := rng.New(3)
 	base := &strideMem{base: 0x1000, elem: 8, pattern: []strideStep{{stride: 1, count: 1}}, wsBytes: 1 << 20}
-	c1 := base.clone(r).(*strideMem)
-	c2 := base.clone(r).(*strideMem)
+	c1 := base.clone(r)
+	c2 := base.clone(r)
 	ctx := testCtx(4)
 	a1, a2 := c1.next(ctx), c2.next(ctx)
 	if a1 == a2 {

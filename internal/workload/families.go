@@ -19,7 +19,9 @@ const (
 
 // style controls instruction-level characteristics of generated
 // straight-line code: class mix, dependence structure, and which memory
-// behaviours the loads/stores follow.
+// behaviours the loads/stores follow. Every block of a program is built
+// in its one style, so the style also owns the program's block slabs and
+// the per-site memory streams its loads and stores index.
 type style struct {
 	memFrac    float64 // fraction of block instructions that touch memory
 	storeFrac  float64 // of memory ops, fraction that are stores
@@ -30,6 +32,15 @@ type style struct {
 	serialLoad bool    // loads form an address-dependence chain (pointer chase)
 	mems       []memGen
 	chainReg   uint8 // register carrying the pointer-chase chain
+
+	sites  []strideMem // per-site clones of stride behaviours in mems
+	insts  slab[staticInst]
+	blocks slab[blockNode]
+	seqs   slab[seqNode]
+	loops  slab[loopNode]
+	ifs    slab[ifNode]
+	fns    slab[function]
+	kids   slab[node]
 }
 
 // blockOf builds n straight-line instructions in the given style.
@@ -37,7 +48,8 @@ func blockOf(r *rng.RNG, n int, st *style) *blockNode {
 	if st.ilp < 1 {
 		st.ilp = 1
 	}
-	b := &blockNode{insts: make([]staticInst, 0, n)}
+	b := &st.blocks.take(1)[0]
+	b.insts = st.insts.take(n)
 	// Dependence chains are block-local: the first instruction of each
 	// chain initializes its register rather than reading the previous
 	// block's value, as in real code where most values are freshly
@@ -64,9 +76,11 @@ func blockOf(r *rng.RNG, n int, st *style) *blockNode {
 				si.class = isa.Load
 			}
 			si.size = 8
-			si.mem = st.mems[r.Intn(len(st.mems))]
-			if ps, ok := si.mem.(perSite); ok {
-				si.mem = ps.clone(r)
+			m := r.Intn(len(st.mems))
+			si.mem = int32(m)
+			if sm, ok := st.mems[m].(*strideMem); ok {
+				st.sites = append(st.sites, sm.clone(r))
+				si.mem = ^int32(len(st.sites) - 1)
 			}
 			// Loads read an induction register for their address but
 			// deposit into a value register outside the loop-carried
@@ -79,10 +93,7 @@ func blockOf(r *rng.RNG, n int, st *style) *blockNode {
 				si.dst = isa.RegNone
 				si.s2 = uint8(9 + r.Intn(16)) // stored value
 			}
-			if st.serialLoad && si.class == isa.Load {
-				si.serialized = true
-				si.lastLoadedReg = &st.chainReg
-			}
+			si.serialized = st.serialLoad && si.class == isa.Load
 		case u < st.memFrac+st.fpFrac:
 			switch r.Intn(3) {
 			case 0:
@@ -105,7 +116,7 @@ func blockOf(r *rng.RNG, n int, st *style) *blockNode {
 				si.class = isa.ALUSimple
 			}
 		}
-		b.insts = append(b.insts, si)
+		b.insts[i] = si
 	}
 	return b
 }
@@ -286,7 +297,6 @@ type funcShape struct {
 	indProb     float64 // a segment is an indirect switch
 	callProb    float64 // a segment is a call to an earlier function
 	leafLoops   float64 // probability a loop body is straight-line code
-	inLoop      bool    // this body is (nested in) a loop body
 	loopTrip    func(r *rng.RNG) tripGen
 	conds       *condMix
 	indirect    func(r *rng.RNG) (arms int, sel targetSel)
@@ -301,56 +311,62 @@ func (sh *funcShape) blockN(r *rng.RNG) int {
 	return lo + r.Intn(hi-lo)
 }
 
-// genBody builds a body of nested structured segments. callees is the
-// pool of already-built functions callable from this one; extraFns
-// accumulates callee functions synthesized for indirect-call arms.
-func (sh *funcShape) genBody(r *rng.RNG, depth int, callees []*function, extraFns *[]*function) node {
-	seq := &seqNode{}
-	for s := 0; s < sh.segments; s++ {
-		seq.kids = append(seq.kids, blockOf(r, sh.blockN(r), sh.style))
+// genBody builds a body of nested structured segments; nested bodies get
+// segments/2+1 of their own so total program size stays bounded. inLoop
+// marks a body (nested in) a loop body. callees is the pool of
+// already-built functions callable from this one; extraFns accumulates
+// callee functions synthesized for indirect-call arms.
+func (sh *funcShape) genBody(r *rng.RNG, depth, segments int, inLoop bool, callees []*function, extraFns *[]*function) node {
+	st := sh.style
+	seq := &st.seqs.take(1)[0]
+	// Each segment adds a block and at most one structure, and a block
+	// closes the body.
+	seq.kids = st.kids.take(2*segments + 1)[:0]
+	inner := segments/2 + 1
+	for s := 0; s < segments; s++ {
+		seq.kids = append(seq.kids, blockOf(r, sh.blockN(r), st))
 		if depth >= sh.maxDepth {
 			continue
 		}
 		u := r.Float64()
-		inner := sh.shrunk()
 		switch {
 		case u < sh.loopProb:
-			var body node
+			l := &st.loops.take(1)[0]
 			if r.Bool(sh.leafLoops) {
 				// Leaf loop: a conditional-free body, so the back-edge
 				// executes back-to-back in the branch stream and its
 				// history requirement is set by the trip count alone.
-				body = blockOf(r, sh.blockN(r), sh.style)
+				l.body = blockOf(r, sh.blockN(r), st)
 			} else {
-				loopInner := *inner
-				loopInner.inLoop = true
-				body = loopInner.genBody(r, depth+1, callees, extraFns)
+				l.body = sh.genBody(r, depth+1, inner, true, callees, extraFns)
 			}
-			seq.kids = append(seq.kids, &loopNode{
-				trip: sh.loopTrip(r),
-				body: body,
-			})
+			l.trip = sh.loopTrip(r)
+			seq.kids = append(seq.kids, l)
 		case u < sh.loopProb+sh.diamondProb:
-			var els node
+			f := &st.ifs.take(1)[0]
 			if r.Bool(0.5) {
-				els = inner.genBody(r, depth+1, callees, extraFns)
+				f.els = sh.genBody(r, depth+1, inner, inLoop, callees, extraFns)
 			}
-			seq.kids = append(seq.kids, &ifNode{
-				cond: sh.conds.draw(r, sh.inLoop),
-				then: inner.genBody(r, depth+1, callees, extraFns),
-				els:  els,
-			})
+			f.cond = sh.conds.draw(r, inLoop)
+			f.then = sh.genBody(r, depth+1, inner, inLoop, callees, extraFns)
+			seq.kids = append(seq.kids, f)
 		case u < sh.loopProb+sh.diamondProb+sh.indProb && sh.indirect != nil:
 			arms, sel := sh.indirect(r)
 			x := &indirectNode{sel: sel, isCall: r.Bool(0.5)}
+			if x.isCall {
+				x.fnArms = make([]*function, arms)
+			} else {
+				x.arms = make([]node, arms)
+			}
 			for a := 0; a < arms; a++ {
-				body := blockOf(r, sh.blockN(r), sh.style)
+				body := blockOf(r, sh.blockN(r), st)
 				if x.isCall {
-					fn := &function{body: body}
-					x.fnArms = append(x.fnArms, fn)
+					fn := &st.fns.take(1)[0]
+					fn.body = body
+					x.fnArms[a] = fn
 					*extraFns = append(*extraFns, fn)
 				} else {
-					x.arms = append(x.arms, body)
+					x.arms[a] = body
 				}
 			}
 			seq.kids = append(seq.kids, x)
@@ -358,16 +374,8 @@ func (sh *funcShape) genBody(r *rng.RNG, depth int, callees []*function, extraFn
 			seq.kids = append(seq.kids, &callNode{fn: callees[r.Intn(len(callees))]})
 		}
 	}
-	seq.kids = append(seq.kids, blockOf(r, sh.blockN(r), sh.style))
+	seq.kids = append(seq.kids, blockOf(r, sh.blockN(r), st))
 	return seq
-}
-
-// shrunk returns a reduced copy of the shape for nested bodies so total
-// program size stays bounded.
-func (sh *funcShape) shrunk() *funcShape {
-	c := *sh
-	c.segments = sh.segments/2 + 1
-	return &c
 }
 
 // loopBank builds a kernel function of nloops consecutive leaf loops
@@ -396,7 +404,7 @@ func genProgram(r *rng.RNG, numFuncs, numEntries int, sh *funcShape, banks ...*f
 	funcs := make([]*function, 0, numFuncs)
 	var extra []*function
 	for i := 0; i < numFuncs; i++ {
-		f := &function{body: sh.genBody(r, 0, funcs, &extra)}
+		f := &function{body: sh.genBody(r, 0, sh.segments, false, funcs, &extra)}
 		funcs = append(funcs, f)
 	}
 	if numEntries > len(funcs) {
@@ -405,7 +413,7 @@ func genProgram(r *rng.RNG, numFuncs, numEntries int, sh *funcShape, banks ...*f
 	entries := append([]*function{}, funcs[len(funcs)-numEntries:]...)
 	entries = append(entries, banks...)
 	all := append(funcs, banks...)
-	return newProgram(codeBase, append(all, extra...), entries)
+	return newProgram(codeBase, sh.style, append(all, extra...), entries)
 }
 
 // Family is a named generator of related workload slices.

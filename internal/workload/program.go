@@ -35,6 +35,7 @@ type emitCtx struct {
 	out    []isa.Inst
 	budget int
 	r      *rng.RNG
+	st     *style // the program's style: memory behaviours, chain register
 
 	// hist is a ring of recent conditional-branch outcomes so that
 	// history-correlated branch behaviours (the CBP-like families) can
@@ -91,15 +92,36 @@ func (ctx *emitCtx) push(in isa.Inst) {
 }
 
 // staticInst is one laid-out non-control instruction. Memory operands are
-// regenerated at every dynamic execution by the mem behaviour.
+// regenerated at every dynamic execution by the mem behaviour. It holds
+// no pointers, so the slabs of a program's static code are never scanned
+// by the garbage collector.
 type staticInst struct {
-	pc            uint64
-	class         isa.Class
-	dst, s1, s2   uint8
-	size          uint8
-	mem           memGen // nil unless class is Load/Store
-	serialized    bool   // if true, source depends on prior load (pointer chase)
-	lastLoadedReg *uint8 // shared chain register for serialized loads
+	pc          uint64
+	mem         int32 // Load/Store only: index into style.mems, or ^index into style.sites
+	class       isa.Class
+	dst, s1, s2 uint8
+	size        uint8
+	serialized  bool // pointer chase: address source and result are style.chainReg
+}
+
+// slab carves small slices out of shared chunks, so a program's many
+// tiny nodes cost a handful of allocations instead of one each. A carved
+// slice stays valid because a chunk is abandoned when it runs out, never
+// grown. Chunks double from 32 to 1024 elements, so a small program
+// pays for small chunks.
+type slab[T any] struct {
+	free  []T
+	chunk int
+}
+
+func (s *slab[T]) take(n int) []T {
+	if len(s.free) < n {
+		s.chunk = min(max(2*s.chunk, 32), 1024)
+		s.free = make([]T, max(n, s.chunk))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
 }
 
 // blockNode is straight-line code.
@@ -116,6 +138,7 @@ func (b *blockNode) layout(pc uint64) uint64 {
 }
 
 func (b *blockNode) emit(ctx *emitCtx) {
+	st := ctx.st
 	for i := range b.insts {
 		if ctx.full() {
 			return
@@ -128,16 +151,17 @@ func (b *blockNode) emit(ctx *emitCtx) {
 			Src1:  si.s1,
 			Src2:  si.s2,
 		}
-		if si.mem != nil {
-			in.Addr = si.mem.next(ctx)
-			in.Size = si.size
-			if si.class == isa.Load && si.lastLoadedReg != nil {
-				// Pointer chase: this load's result feeds the next
-				// load's address register.
-				in.Dst = *si.lastLoadedReg
+		if si.class.IsMem() {
+			if si.mem >= 0 {
+				in.Addr = st.mems[si.mem].next(ctx)
+			} else {
+				in.Addr = st.sites[^si.mem].next(ctx)
 			}
-			if si.serialized && si.lastLoadedReg != nil {
-				in.Src1 = *si.lastLoadedReg
+			in.Size = si.size
+			if si.serialized {
+				// Pointer chase: this load's address comes from the
+				// previous load's result, and its result feeds the next.
+				in.Dst, in.Src1 = st.chainReg, st.chainReg
 			}
 		}
 		ctx.push(in)
@@ -418,11 +442,12 @@ type program struct {
 	top     []*callNode
 	topLoop uint64 // pc of the driver's backward branch
 	base    uint64
+	st      *style // the style every block of the program was built in
 }
 
 // newProgram lays out the functions and a driver loop starting at base.
-func newProgram(base uint64, funcs []*function, entries []*function) *program {
-	p := &program{funcs: funcs, base: base}
+func newProgram(base uint64, st *style, funcs []*function, entries []*function) *program {
+	p := &program{funcs: funcs, base: base, st: st}
 	pc := base
 	// Driver: call sites for each entry, then an always-taken backward
 	// branch to the first call site.
@@ -446,6 +471,7 @@ func (p *program) generate(budget int, r *rng.RNG) []isa.Inst {
 		out:    make([]isa.Inst, 0, budget+64),
 		budget: budget,
 		r:      r,
+		st:     p.st,
 	}
 	for !ctx.full() {
 		for _, c := range p.top {

@@ -2,7 +2,11 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"exysim/internal/trace"
 )
@@ -55,62 +59,100 @@ var (
 	StandardSpec = SuiteSpec{SlicesPerFamily: 24, InstsPerSlice: 150_000, WarmupFrac: 0.2, Seed: 0xE59}
 )
 
-// familyWeight scales how many slices a family contributes relative to
-// SlicesPerFamily, echoing the paper's suite composition (SPEC and web
-// suites dominate; microkernels are a seasoning).
+// weightedFamily scales how many slices a family contributes relative
+// to SlicesPerFamily, echoing the paper's suite composition (SPEC and
+// web suites dominate; microkernels are a seasoning).
 type weightedFamily struct {
 	fam    Family
 	weight float64
 }
 
-func defaultFamilies() []weightedFamily {
-	return []weightedFamily{
-		{SpecIntFamily(), 1.5},
-		{SpecFPFamily(), 1.0},
-		{WebFamily(), 1.5},
-		{MobileFamily(), 1.25},
-		{GameFamily(), 1.0},
-		{TightLoopFamily(), 0.5},
-		{ChaseFamily(), 0.5},
-		{StreamFamily(), 0.5},
-		{SMSFamily(), 0.5},
+// suiteFamilies is the one family table: Plan, Suite, Lookup, ByName
+// and Families all read it, in this order.
+var suiteFamilies = []weightedFamily{
+	{SpecIntFamily(), 1.5},
+	{SpecFPFamily(), 1.0},
+	{WebFamily(), 1.5},
+	{MobileFamily(), 1.25},
+	{GameFamily(), 1.0},
+	{TightLoopFamily(), 0.5},
+	{ChaseFamily(), 0.5},
+	{StreamFamily(), 0.5},
+	{SMSFamily(), 0.5},
+}
+
+// SliceRef is one entry of a suite plan: everything about a slice except
+// its instructions, which Slice generates on demand.
+type SliceRef struct {
+	Spec   SuiteSpec // normalized
+	Family Family
+	Index  int // index within the family
+	Name   string
+	Suite  string
+	Warmup int
+}
+
+func newSliceRef(spec SuiteSpec, fam Family, idx int) SliceRef {
+	return SliceRef{
+		Spec:   spec,
+		Family: fam,
+		Index:  idx,
+		Name:   sliceName(fam.Name, idx),
+		Suite:  fam.Suite,
+		Warmup: int(float64(spec.InstsPerSlice) * spec.WarmupFrac),
 	}
 }
 
-// Suite materializes the full synthetic population for the spec.
-// Families generate in parallel — each slice derives from (family, index,
-// seed) alone, so the population is identical to the serial construction,
-// in the same order. At standard scale generation is a visible fraction
-// of a population run's wall time; per-family fan-out hides it.
-func Suite(spec SuiteSpec) []*trace.Slice {
+// Slice generates the referenced slice: Warmup instructions of warmup
+// followed by InstsPerSlice measured ones.
+func (ref SliceRef) Slice() *trace.Slice {
+	return ref.Family.Gen(ref.Index, ref.Spec.InstsPerSlice+ref.Warmup, ref.Warmup, ref.Spec.Seed)
+}
+
+// Header returns the slice's metadata (Name, Suite, Warmup) without its
+// instructions: enough to plan shards over and to merge and summarize
+// results, which never replay a slice.
+func (ref SliceRef) Header() *trace.Slice {
+	return &trace.Slice{Name: ref.Name, Suite: ref.Suite, Warmup: ref.Warmup}
+}
+
+// Plan lists the population Suite(spec) generates, in the same order,
+// without generating any of it.
+func Plan(spec SuiteSpec) []SliceRef {
 	spec = spec.Normalize()
-	warm := int(float64(spec.InstsPerSlice) * spec.WarmupFrac)
-	budget := spec.InstsPerSlice + warm
-	fams := defaultFamilies()
-	offsets := make([]int, len(fams))
-	total := 0
-	for i, wf := range fams {
+	var refs []SliceRef
+	for _, wf := range suiteFamilies {
 		n := int(float64(spec.SlicesPerFamily) * wf.weight)
-		if n < 1 {
-			n = 1
+		for i := 0; i < max(n, 1); i++ {
+			refs = append(refs, newSliceRef(spec, wf.fam, i))
 		}
-		offsets[i] = total
-		total += n
 	}
-	out := make([]*trace.Slice, total)
+	return refs
+}
+
+// Suite materializes the full synthetic population for the spec. Each
+// slice derives from (family, index, spec) alone, so slices generate in
+// parallel on up to GOMAXPROCS goroutines and the population is
+// identical to the serial construction, in Plan order. At standard
+// scale generation is a visible fraction of a population run's wall
+// time; the fan-out hides it.
+func Suite(spec SuiteSpec) []*trace.Slice {
+	refs := Plan(spec)
+	out := make([]*trace.Slice, len(refs))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i, wf := range fams {
-		end := total
-		if i+1 < len(fams) {
-			end = offsets[i+1]
-		}
+	for w := min(runtime.GOMAXPROCS(0), len(refs)); w > 0; w-- {
 		wg.Add(1)
-		go func(fam Family, base, n int) {
+		go func() {
 			defer wg.Done()
-			for j := 0; j < n; j++ {
-				out[base+j] = fam.Gen(j, budget, warm, spec.Seed)
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(refs) {
+					return
+				}
+				out[i] = refs[i].Slice()
 			}
-		}(wf.fam, offsets[i], end-offsets[i])
+		}()
 	}
 	wg.Wait()
 	return out
@@ -128,25 +170,39 @@ func CBPSuite(n, instsPerSlice, maxDist int, seed uint64) []*trace.Slice {
 	return out
 }
 
-// ByName builds one slice from "family/idx" syntax, e.g. "web/003";
-// useful for CLI debugging of a single slice.
-func ByName(name string, spec SuiteSpec) (*trace.Slice, error) {
-	warm := int(float64(spec.InstsPerSlice) * spec.WarmupFrac)
-	budget := spec.InstsPerSlice + warm
-	for _, wf := range defaultFamilies() {
-		var idx int
-		if n, err := fmt.Sscanf(name, wf.fam.Name+"/%d", &idx); err == nil && n == 1 {
-			return wf.fam.Gen(idx, budget, warm, spec.Seed), nil
+// Lookup resolves a "family/index" name, e.g. "web/003" or "web/3", to
+// its plan entry under spec without generating the slice. The index is
+// a plain decimal ≥ 0; one beyond the spec's family count names a slice
+// outside Suite(spec), generated the same way.
+func Lookup(name string, spec SuiteSpec) (SliceRef, error) {
+	fam, idx, _ := strings.Cut(name, "/")
+	for _, wf := range suiteFamilies {
+		if wf.fam.Name != fam {
+			continue
 		}
+		i, err := strconv.Atoi(idx)
+		if err != nil || strings.TrimLeft(idx, "0123456789") != "" {
+			return SliceRef{}, fmt.Errorf("workload: slice %q: index %q is not a decimal number >= 0", name, idx)
+		}
+		return newSliceRef(spec.Normalize(), wf.fam, i), nil
 	}
-	return nil, fmt.Errorf("workload: unknown slice %q", name)
+	return SliceRef{}, fmt.Errorf("workload: unknown slice %q (want family/index, e.g. web/003; families: %s)", name, strings.Join(Families(), ", "))
+}
+
+// ByName builds one slice from its "family/index" name (see Lookup); the
+// result equals the Suite(spec) slice of the same name.
+func ByName(name string, spec SuiteSpec) (*trace.Slice, error) {
+	ref, err := Lookup(name, spec)
+	if err != nil {
+		return nil, err
+	}
+	return ref.Slice(), nil
 }
 
 // Families lists the family names available, for CLI help.
 func Families() []string {
-	fams := defaultFamilies()
-	names := make([]string, len(fams))
-	for i, wf := range fams {
+	names := make([]string, len(suiteFamilies))
+	for i, wf := range suiteFamilies {
 		names[i] = wf.fam.Name
 	}
 	return names

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"exysim/internal/isa"
@@ -12,7 +14,7 @@ import (
 // CBP family, for exhaustive structural checks.
 func allFamilies() []Family {
 	fams := []Family{}
-	for _, wf := range defaultFamilies() {
+	for _, wf := range suiteFamilies {
 		fams = append(fams, wf.fam)
 	}
 	fams = append(fams, CBPFamily(200))
@@ -254,7 +256,7 @@ func TestCBPSuiteCorrelations(t *testing.T) {
 
 func TestFamiliesListed(t *testing.T) {
 	names := Families()
-	if len(names) != len(defaultFamilies()) {
+	if len(names) != len(suiteFamilies) {
 		t.Fatalf("families=%v", names)
 	}
 }
@@ -284,22 +286,80 @@ func TestTakenBranchLeadStats(t *testing.T) {
 	}
 }
 
-func BenchmarkGenerateWeb(b *testing.B) {
-	fam := WebFamily()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		fam.Gen(i, 50000, 5000, 0xE59)
-	}
-}
-
-func BenchmarkGenerateSpecInt(b *testing.B) {
-	fam := SpecIntFamily()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		fam.Gen(i, 50000, 5000, 0xE59)
-	}
-}
-
 var _ trace.Reader = (*trace.Slice)(nil)
 
 var _ = rng.Mix64 // keep import for doc reference
+
+// planSpecs covers the tiny and quick presets (quick at a reduced
+// length, which does not change its plan) and degenerate specs that
+// Normalize clamps.
+var planSpecs = map[string]SuiteSpec{
+	"tiny":          TinySpec,
+	"quick":         {SlicesPerFamily: QuickSpec.SlicesPerFamily, InstsPerSlice: 3_000, WarmupFrac: QuickSpec.WarmupFrac, Seed: QuickSpec.Seed},
+	"warmup 0.99":   {SlicesPerFamily: 1, InstsPerSlice: 4_000, WarmupFrac: 0.99, Seed: 7},
+	"negative warm": {SlicesPerFamily: 1, InstsPerSlice: 2_000, WarmupFrac: -1, Seed: 7},
+	"zero sizes":    {WarmupFrac: math.NaN(), Seed: 7},
+}
+
+// TestByNameMatchesSuite: Plan headers carry every suite slice's
+// metadata, and ByName rebuilds each family's first and last slice, by
+// padded and unpadded name, byte-identically.
+func TestByNameMatchesSuite(t *testing.T) {
+	for name, spec := range planSpecs {
+		refs, slices := Plan(spec), Suite(spec)
+		if len(refs) != len(slices) {
+			t.Fatalf("%s: plan lists %d slices, suite has %d", name, len(refs), len(slices))
+		}
+		family := func(i int) string {
+			if i < 0 || i >= len(slices) {
+				return ""
+			}
+			f, _, _ := strings.Cut(slices[i].Name, "/")
+			return f
+		}
+		for i, sl := range slices {
+			h := refs[i].Header()
+			if h.Name != sl.Name || h.Suite != sl.Suite || h.Warmup != sl.Warmup || h.Weight != sl.Weight || len(h.Insts) != 0 {
+				t.Fatalf("%s: header %d = %+v, suite slice is %s/%s warmup %d", name, i, h, sl.Name, sl.Suite, sl.Warmup)
+			}
+			fam, idx, _ := strings.Cut(sl.Name, "/")
+			if family(i-1) == fam && family(i+1) == fam {
+				continue
+			}
+			unpadded := fam + "/" + strings.TrimLeft(idx[:len(idx)-1], "0") + idx[len(idx)-1:]
+			for _, n := range []string{sl.Name, unpadded} {
+				got, err := ByName(n, spec)
+				if err != nil {
+					t.Fatalf("%s: ByName(%q): %v", name, n, err)
+				}
+				if got.Digest() != sl.Digest() {
+					t.Fatalf("%s: ByName(%q) differs from the suite's %s (warmup %d vs %d)", name, n, sl.Name, got.Warmup, sl.Warmup)
+				}
+			}
+		}
+	}
+}
+
+func TestLookupRejectsMalformedNames(t *testing.T) {
+	for _, name := range []string{
+		"", "web", "web/", "/3", "nosuch/1", "web/3abc", "web/1/2", "web/-1",
+		"web/+3", "web/ 3", "web/3 ", "web/0x3", "web/99999999999999999999999",
+	} {
+		if ref, err := Lookup(name, TinySpec); err == nil {
+			t.Errorf("Lookup(%q) accepted as %s", name, ref.Name)
+		}
+	}
+	for name, want := range map[string]string{
+		"micro.chase/2": "micro.chase/002",
+		"web/003":       "web/003",
+		"web/0":         "web/000",
+		"specint/1234":  "specint/1234",
+	} {
+		ref, err := Lookup(name, TinySpec)
+		if err != nil {
+			t.Errorf("Lookup(%q): %v", name, err)
+		} else if ref.Name != want {
+			t.Errorf("Lookup(%q) = %s, want %s", name, ref.Name, want)
+		}
+	}
+}
