@@ -50,12 +50,18 @@ serve-smoke:
 # snapfork-smoke races the warm-state snapshot/fork protocol: forked
 # runs must be bit-identical to cold re-warms for every generation, the
 # sweep API must produce identical results with and without a warm
-# cache, the pre-decoded steady-state step loop must not allocate, and
-# the snapshot codec's own tests (zero-RLE reference and fuzz seed
-# corpus, corrupt-image rejection) must pass.
+# cache, the pre-decoded steady-state step loop and Reset plus a rerun
+# must not allocate, the snapshot codec's own tests (zero-RLE reference
+# and fuzz seed corpus, corrupt-image rejection) must pass, the
+# set-on-first-fill caches and BTBs must match their flat-array
+# reference, a warm image must not depend on what the simulator ran
+# before its Reset, and the capture/restore/Reset benchmarks must run.
 snapfork-smoke:
-	$(GO) test -race -run 'TestWarmForkMatchesColdRerun|TestRunWithWarmSnapshotsBitIdentical|TestDecodedStepLoopDoesNotAllocate' . && \
-	$(GO) test -race ./internal/snapshot/
+	$(GO) test -race -run 'TestWarmForkMatchesColdRerun|TestRunWithWarmSnapshotsBitIdentical|TestDecodedStepLoopDoesNotAllocate|TestResetAndRerunDoesNotAllocate' . && \
+	$(GO) test -race ./internal/snapshot/ && \
+	$(GO) test -race -run 'TestBlocksMatchFlatReference' ./internal/cache/ ./internal/branch/ && \
+	$(GO) test -race -run 'TestWarmImageIndependentOfPoolHistory' ./internal/core/ && \
+	$(GO) test -race -run NONE -bench 'CaptureState|RestoreState|ResetState' -benchtime 1x ./internal/core/
 
 # fabric-smoke races the distributed sweep fabric end to end: shard
 # planning/merge bit-identity under random partitions, the coordinator's

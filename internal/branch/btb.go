@@ -3,6 +3,7 @@ package branch
 import (
 	"exysim/internal/isa"
 	"exysim/internal/rng"
+	"exysim/internal/satable"
 )
 
 // BTBLineBytes is the branch-organization granule: the main BTBs hold up
@@ -68,9 +69,15 @@ type btbLine struct {
 type MBTB struct {
 	sets int
 	ways int
-	// lines is a flat sets*ways array; set s occupies [s*ways, (s+1)*ways).
-	lines []btbLine
-	tick  uint64
+	// blocks maps each set to its block of ways rows in lines, claimed
+	// on the set's first allocation.
+	blocks satable.Blocks
+	lines  []btbLine
+	tick   uint64
+
+	// victim holds the last evicted line until the caller has written
+	// it back, so an eviction hands it out without allocating.
+	victim btbLine
 
 	// spill receives branches beyond the eighth in a line (§IV-A).
 	spill *VBTB
@@ -82,7 +89,9 @@ func NewMBTB(sets, ways int, spill *VBTB) *MBTB {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("branch: mBTB sets must be a power of two")
 	}
-	return &MBTB{sets: sets, ways: ways, spill: spill, lines: make([]btbLine, sets*ways)}
+	m := &MBTB{sets: sets, ways: ways, spill: spill, blocks: satable.NewBlocks(sets, ways)}
+	m.lines = satable.Slab[btbLine](&m.blocks)
+	return m
 }
 
 func (m *MBTB) lineOf(pc uint64) (set int, tag uint64) {
@@ -93,7 +102,10 @@ func (m *MBTB) lineOf(pc uint64) (set int, tag uint64) {
 // LookupLine returns the resident line for pc's 128B granule, or nil.
 func (m *MBTB) LookupLine(pc uint64) *btbLine {
 	set, tag := m.lineOf(pc)
-	base := set * m.ways
+	base := m.blocks.Base(set)
+	if base < 0 {
+		return nil
+	}
 	for w := 0; w < m.ways; w++ {
 		l := &m.lines[base+w]
 		if l.valid && l.tag == tag {
@@ -125,10 +137,14 @@ func (m *MBTB) Lookup(pc uint64) (*BTBEntry, bool) {
 }
 
 // allocLine returns (possibly victimizing) the line for pc. The victim's
-// contents are returned so the caller can write them back to the L2BTB.
+// contents are returned so the caller can write them back to the L2BTB;
+// they stay valid until the next allocation.
 func (m *MBTB) allocLine(pc uint64) (*btbLine, *btbLine) {
 	set, tag := m.lineOf(pc)
-	base := set * m.ways
+	base, fresh := m.blocks.Claim(set)
+	if fresh {
+		m.lines = satable.Grow(m.lines, m.ways)
+	}
 	var victim *btbLine
 	for w := 0; w < m.ways; w++ {
 		l := &m.lines[base+w]
@@ -148,8 +164,8 @@ func (m *MBTB) allocLine(pc uint64) (*btbLine, *btbLine) {
 				victim = &m.lines[base+w]
 			}
 		}
-		ev := *victim
-		evicted = &ev
+		m.victim = *victim
+		evicted = &m.victim
 	}
 	m.tick++
 	*victim = btbLine{tag: tag, valid: true, lruTick: m.tick}
@@ -191,10 +207,12 @@ func (m *MBTB) InstallLine(src *btbLine) (*btbLine, *btbLine) {
 // Lines returns total line capacity (for storage accounting).
 func (m *MBTB) Lines() int { return m.sets * m.ways }
 
-// Reset invalidates every line in place, keeping the backing array and
+// Reset invalidates every line, keeping the line slab's allocation and
 // the spill pointer (the spill BTB resets separately).
 func (m *MBTB) Reset() {
-	clear(m.lines)
+	m.blocks.Reset()
+	m.lines = m.lines[:0]
+	m.victim = btbLine{}
 	m.tick = 0
 }
 
@@ -278,9 +296,11 @@ func (v *VBTB) Reset() {
 type L2BTB struct {
 	sets int
 	ways int
-	// lines is a flat sets*ways array.
-	lines []btbLine
-	tick  uint64
+	// blocks maps each set to its block of ways rows in lines, claimed
+	// on the set's first install.
+	blocks satable.Blocks
+	lines  []btbLine
+	tick   uint64
 }
 
 // NewL2BTB builds sets×ways line entries.
@@ -288,7 +308,9 @@ func NewL2BTB(sets, ways int) *L2BTB {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("branch: L2BTB sets must be a power of two")
 	}
-	return &L2BTB{sets: sets, ways: ways, lines: make([]btbLine, sets*ways)}
+	l := &L2BTB{sets: sets, ways: ways, blocks: satable.NewBlocks(sets, ways)}
+	l.lines = satable.Slab[btbLine](&l.blocks)
+	return l
 }
 
 func (l *L2BTB) setOf(tag uint64) int { return int(rng.Mix64(tag)) & (l.sets - 1) }
@@ -296,7 +318,10 @@ func (l *L2BTB) setOf(tag uint64) int { return int(rng.Mix64(tag)) & (l.sets - 1
 // Lookup returns the stored line for pc's granule, or nil.
 func (l *L2BTB) Lookup(pc uint64) *btbLine {
 	tag := pc / BTBLineBytes
-	base := l.setOf(tag) * l.ways
+	base := l.blocks.Base(l.setOf(tag))
+	if base < 0 {
+		return nil
+	}
 	for w := 0; w < l.ways; w++ {
 		e := &l.lines[base+w]
 		if e.valid && e.tag == tag {
@@ -310,7 +335,10 @@ func (l *L2BTB) Lookup(pc uint64) *btbLine {
 
 // Install writes a (victim) line into the L2BTB, evicting LRU.
 func (l *L2BTB) Install(line *btbLine) {
-	base := l.setOf(line.tag) * l.ways
+	base, fresh := l.blocks.Claim(l.setOf(line.tag))
+	if fresh {
+		l.lines = satable.Grow(l.lines, l.ways)
+	}
 	victim := &l.lines[base]
 	for w := 0; w < l.ways; w++ {
 		e := &l.lines[base+w]
@@ -340,9 +368,10 @@ func (l *L2BTB) NextLine(pc uint64) *btbLine {
 // Lines returns total line capacity (for storage accounting).
 func (l *L2BTB) Lines() int { return l.sets * l.ways }
 
-// Reset invalidates every line in place, keeping the backing array.
+// Reset invalidates every line, keeping the line slab's allocation.
 func (l *L2BTB) Reset() {
-	clear(l.lines)
+	l.blocks.Reset()
+	l.lines = l.lines[:0]
 	l.tick = 0
 }
 

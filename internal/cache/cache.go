@@ -6,7 +6,10 @@
 // counters, and insertion priorities.
 package cache
 
-import "exysim/internal/obs"
+import (
+	"exysim/internal/obs"
+	"exysim/internal/satable"
+)
 
 // LineBytes is the data line size used throughout the hierarchy (64B;
 // the L2 tags are sectored at a 128B granule on top of this, §VIII-B).
@@ -106,7 +109,10 @@ type Cache struct {
 	lineLog  uint
 	tagShift uint   // lineLog + SectorLog2: address bits above tag granule
 	secMask  uint64 // (1<<SectorLog2)-1, 0 when unsectored
-	// lines is a flat sets*ways array; set s occupies [s*ways, (s+1)*ways).
+	// blocks maps each set to its block of ways rows in the slabs below,
+	// claimed on the set's first fill; an untouched set holds no lines.
+	blocks satable.Blocks
+	// lines is the row slab of entries.
 	lines []entry
 	// tags shadows lines' (Tag, Valid) as tag<<1|valid so the hit scan
 	// walks one packed word per way instead of a whole entry.
@@ -149,17 +155,19 @@ func New(cfg Config) *Cache {
 		p *= 2
 	}
 	sets = p
-	return &Cache{
+	c := &Cache{
 		cfg:      cfg,
 		sets:     sets,
 		ways:     cfg.Ways,
 		lineLog:  6,
 		tagShift: 6 + cfg.SectorLog2,
 		secMask:  1<<cfg.SectorLog2 - 1,
-		lines:    make([]entry, sets*cfg.Ways),
-		tags:     make([]uint64, sets*cfg.Ways),
-		lrus:     make([]uint64, sets*cfg.Ways),
+		blocks:   satable.NewBlocks(sets, cfg.Ways),
 	}
+	c.lines = satable.Slab[entry](&c.blocks)
+	c.tags = satable.Slab[uint64](&c.blocks)
+	c.lrus = satable.Slab[uint64](&c.blocks)
+	return c
 }
 
 // Config returns the cache's configuration.
@@ -172,12 +180,14 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Reset restores the cache to its post-New cold state in place: every
-// line invalid, recency and port state rewound, counters cleared. The
-// backing arrays are kept so pooled simulators reuse their allocations.
+// line invalid, recency and port state rewound, counters cleared. Only
+// the set index is cleared; the row slabs are truncated, keeping their
+// allocations for pooled simulators.
 func (c *Cache) Reset() {
-	clear(c.lines)
-	clear(c.tags)
-	clear(c.lrus)
+	c.blocks.Reset()
+	c.lines = c.lines[:0]
+	c.tags = c.tags[:0]
+	c.lrus = c.lrus[:0]
 	c.tick = 0
 	c.portBusyUntil = 0
 	c.stats = Stats{}
@@ -206,11 +216,14 @@ func (c *Cache) index(addr uint64) (set int, tag uint64, sub uint) {
 	return set, tag, sub
 }
 
-// find returns the flat lines/lrus index of addr's entry (-1 if absent)
-// plus the sector sub-line.
+// find returns the lines/lrus row of addr's entry (-1 if absent) plus
+// the sector sub-line.
 func (c *Cache) find(addr uint64) (int, uint) {
 	set, tag, sub := c.index(addr)
-	base := set * c.ways
+	base := c.blocks.Base(set)
+	if base < 0 {
+		return -1, sub
+	}
 	want := tag<<1 | 1
 	for w, t := range c.tags[base : base+c.ways] {
 		if t == want {
@@ -305,7 +318,12 @@ func (c *Cache) PortDelay(now uint64) int {
 func (c *Cache) Fill(addr uint64, now, readyAt uint64, origin uint8, prio InsertPriority) Victim {
 	prefetch := origin != OriginDemand
 	set, tag, sub := c.index(addr)
-	base := set * c.ways
+	base, fresh := c.blocks.Claim(set)
+	if fresh {
+		c.lines = satable.Grow(c.lines, c.ways)
+		c.tags = satable.Grow(c.tags, c.ways)
+		c.lrus = satable.Grow(c.lrus, c.ways)
+	}
 	c.tick++
 	// Sector hit: another line under the same tag.
 	want := tag<<1 | 1
@@ -396,7 +414,10 @@ func (c *Cache) Touch(addr uint64, dirty bool) {
 // moves back up, §VIII-A). It returns the line's metadata.
 func (c *Cache) Invalidate(addr uint64) *Line {
 	set, tag, sub := c.index(addr)
-	base := set * c.ways
+	base := c.blocks.Base(set)
+	if base < 0 {
+		return nil
+	}
 	want := tag<<1 | 1
 	for w, t := range c.tags[base : base+c.ways] {
 		if t != want {

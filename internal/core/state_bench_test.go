@@ -72,3 +72,30 @@ func BenchmarkRestoreState(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkResetState times one Reset of a simulator that has run a
+// whole tiny-spec slice, as a pooled simulator's recycle between slices
+// does. The run's end state is restored outside the timer before each
+// Reset.
+func BenchmarkResetState(b *testing.B) {
+	sl := workload.Suite(workload.TinySpec)[0]
+	for _, g := range benchStateGens() {
+		b.Run(g.Name, func(b *testing.B) {
+			sim := NewSimulator(g)
+			sim.Run(sl)
+			ran, err := sim.CaptureState()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := sim.RestoreState(ran); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				sim.Reset()
+			}
+		})
+	}
+}

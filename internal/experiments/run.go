@@ -210,8 +210,10 @@ func WithGenerations(gens []core.GenConfig) Option {
 // see WithSimPool) and recycled with Reset() for every later job of
 // that generation. Constructing an M6 simulator allocates hundreds of
 // tables; at population scale the construction and the GC pressure it
-// feeds dominate small-slice runs, while Reset() only zeroes the
-// existing arrays. The Reset() protocol guarantees bit-identical
+// feeds dominate small-slice runs, while Reset() rewinds state in place:
+// the caches and BTBs, which allocate a set's ways on its first fill,
+// clear only their set index, and the small tables are zeroed. The
+// Reset() protocol guarantees bit-identical
 // results to a fresh simulator (reuse_test.go), so determinism is
 // unaffected. Jobs are enqueued generation-major, which keeps each
 // worker's set hot on one generation at a time.

@@ -12,10 +12,10 @@ import (
 )
 
 // DefaultSnapshotBudget bounds a WarmCache's resident snapshot bytes
-// (LRU-evicted beyond it). Warm images run about 20–500 KiB per
+// (LRU-evicted beyond it). Warm images run about 20–520 KiB per
 // (generation, slice) at the tiny spec — the zero-run-length encoding
-// keeps a few percent of the 1.8–9.1 MB raw state — so 2 GiB holds
-// thousands of pairs while keeping a long-lived server's ceiling
+// of the 0.25–1.4 MB of sets and tables a warmup touches — so 2 GiB
+// holds thousands of pairs while keeping a long-lived server's ceiling
 // predictable.
 const DefaultSnapshotBudget = 2 << 30
 

@@ -120,3 +120,38 @@ func TestReset(t *testing.T) {
 		t.Fatal("Reset left entries live")
 	}
 }
+
+func TestBlocksClaimInFirstFillOrder(t *testing.T) {
+	b := NewBlocks(8, 3)
+	slab := Slab[int](&b)
+	if cap(slab) != 24 || len(slab) != 0 {
+		t.Fatalf("slab len %d cap %d, want 0 and 24", len(slab), cap(slab))
+	}
+	for _, set := range []int{5, 2, 5} {
+		base, fresh := b.Claim(set)
+		if fresh {
+			slab = Grow(slab, 3)
+		}
+		if got := b.Base(set); got != base {
+			t.Fatalf("Base(%d) = %d after Claim returned %d", set, got, base)
+		}
+	}
+	if b.Base(5) != 0 || b.Base(2) != 3 || b.Base(0) != -1 || len(slab) != 6 {
+		t.Fatalf("bases 5:%d 2:%d 0:%d, slab len %d; want 0, 3, -1, 6", b.Base(5), b.Base(2), b.Base(0), len(slab))
+	}
+	slab[4] = 7
+	b.Reset()
+	slab = slab[:0]
+	if b.Base(5) != -1 || b.Base(2) != -1 {
+		t.Fatal("Reset left a set claimed")
+	}
+	// The first set claimed after Reset gets block 0 again, cleared.
+	if base, fresh := b.Claim(2); base != 0 || !fresh {
+		t.Fatalf("Claim(2) after Reset = %d, %v; want 0, true", base, fresh)
+	}
+	slab = Grow(slab, 3)
+	slab = Grow(slab, 3)
+	if slab[4] != 0 {
+		t.Fatal("Grow exposed a stale row")
+	}
+}

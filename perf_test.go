@@ -89,27 +89,41 @@ func TestStepLoopDoesNotAllocate(t *testing.T) {
 // with Reset() and replaying a whole slice performs no heap allocations.
 // Reset must therefore clear every table, ring and reused buffer in
 // place — a regression here means some subsystem reallocates its backing
-// storage (or the co-runner RNG re-seed escapes to the heap).
+// storage (or the co-runner RNG re-seed escapes to the heap). The M6
+// specint slice evicts no mBTB line, so the M1 web slice covers the
+// eviction path (the shortest web/0 at this spec that evicts one).
 func TestResetAndRerunDoesNotAllocate(t *testing.T) {
-	g, ok := core.GenByName("M6")
-	if !ok {
-		t.Fatal("M6 missing")
+	cases := []struct {
+		gen, slice string
+		spec       workload.SuiteSpec
+	}{
+		{"M6", "specint/0", benchSpec},
+		{"M1", "web/0", workload.SuiteSpec{SlicesPerFamily: 1, InstsPerSlice: 89_000, WarmupFrac: 0.25, Seed: 7}},
 	}
-	sl, err := workload.ByName("specint/0", benchSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := core.NewSimulator(g)
-	// First slice on the fresh simulator: grows append-managed buffers
-	// (MAB list, prefetch request buffers) to their steady capacity.
-	sim.Run(sl)
-	pd := sl.PreDecode()
-	avg := testing.AllocsPerRun(5, func() {
-		sim.Reset()
-		sim.Replay(pd, 0, len(sl.Insts))
-	})
-	if avg != 0 {
-		t.Fatalf("Reset+rerun allocates: %.1f allocs per slice, want 0", avg)
+	for _, tc := range cases {
+		t.Run(tc.gen+"/"+tc.slice, func(t *testing.T) {
+			g, ok := core.GenByName(tc.gen)
+			if !ok {
+				t.Fatalf("%s missing", tc.gen)
+			}
+			sl, err := workload.ByName(tc.slice, tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim := core.NewSimulator(g)
+			// First slice on the fresh simulator: grows append-managed
+			// buffers (MAB list, prefetch request buffers) to their
+			// steady capacity.
+			sim.Run(sl)
+			pd := sl.PreDecode()
+			avg := testing.AllocsPerRun(5, func() {
+				sim.Reset()
+				sim.Replay(pd, 0, len(sl.Insts))
+			})
+			if avg != 0 {
+				t.Fatalf("Reset+rerun allocates: %.1f allocs per slice, want 0", avg)
+			}
+		})
 	}
 }
 
